@@ -124,23 +124,6 @@ pub struct ScenarioConfig {
     /// ballot-stuffing / badmouthing attack that anonymity enables and
     /// identity-based rate limiting prevents). 1 disables the attack.
     pub ballot_stuffing_factor: usize,
-    /// Round-engine sharding (see `DESIGN.md` §10):
-    ///
-    /// * `1` (default) — the serial engine: one thread, one RNG stream,
-    ///   intra-round feedback visible immediately. Bit-identical to the
-    ///   pinned goldens.
-    /// * `0` — auto: the sharded engine once `nodes ≥` the auto
-    ///   threshold, serial below it. The engine choice depends only on
-    ///   the node count (never on hardware), so auto stays deterministic
-    ///   across machines.
-    /// * `k ≥ 2` — the sharded engine with `k` contiguous node shards.
-    ///
-    /// The sharded engine executes the interaction phase shard-parallel
-    /// against a round-start snapshot and merges feedback in fixed shard
-    /// order; its outcome is *independent of the shard count* (1, 2 or
-    /// 8 shards are bit-identical) but differs from the serial engine,
-    /// whose consumers see same-round feedback.
-    pub shards: usize,
     /// Cap on *raw* disclosure-ledger records kept in memory (oldest
     /// evicted first). Aggregate privacy measurements always cover the
     /// full history; the cap only bounds the memory of the raw audit
@@ -174,7 +157,6 @@ impl Default for ScenarioConfig {
             membership: None,
             consumer_role_weight: 0.75,
             ballot_stuffing_factor: 4,
-            shards: 1,
             ledger_raw_record_cap: None,
             seed: 42,
         }

@@ -314,32 +314,17 @@ impl ScenarioBuilder {
         self
     }
 
-    /// Round-engine sharding: `1` (default) is the serial engine, `0`
-    /// auto-shards at large node counts, `k ≥ 2` forces the sharded
-    /// engine with `k` contiguous shards. The sharded outcome does not
-    /// depend on `k` — the knob is purely about parallelism — but the
-    /// sharded engine's synchronous round semantics differ from serial
-    /// (see `ScenarioConfig::shards` and DESIGN.md §10).
-    ///
-    /// Sweep interplay: a [`SweepRunner`](crate::runner::SweepRunner)
-    /// already parallelizes *across* cells; sharded cells inside a
-    /// parallel sweep oversubscribe the machine. Shard the cells when a
-    /// single scenario dominates, parallelize the sweep when many small
-    /// cells do.
-    pub fn shards(mut self, shards: usize) -> Self {
-        self.config.shards = shards;
-        self
-    }
-
-    /// Preset: a mega-scale run — auto-sharded round engine and a
-    /// bounded raw ledger audit trail (aggregate privacy measurements
-    /// still cover the full history), which keep a 100k–1M node
-    /// scenario inside memory and on every core.
+    /// Preset: a mega-scale run — 20 rounds and a bounded raw ledger
+    /// audit trail (aggregate privacy measurements still cover the full
+    /// history), which keeps a 100k–1M node scenario inside memory. At
+    /// these node counts the round engine spreads each round over every
+    /// core on its own (see
+    /// [`SHARD_AUTO_NODES`](crate::scenario::SHARD_AUTO_NODES)); that is
+    /// execution only and changes no outcome bit.
     pub fn mega(nodes: usize) -> Self {
         Self::new()
             .nodes(nodes)
             .rounds(20)
-            .shards(0)
             .ledger_raw_record_cap(Some(200_000))
     }
 

@@ -525,9 +525,6 @@ impl ServiceHost {
             // No usable checkpoint: start fresh and replay everything.
             None => (TrustService::new(self.config.service.clone())?, 0),
         };
-        // The shard knob is execution-only and never serialized; bring
-        // the recovered service back to its configured parallelism.
-        service.set_commit_shards(self.config.service.commit_shards);
         let replay = self
             .journal
             .replay_from(cursor)

@@ -180,15 +180,6 @@ pub struct ServiceConfig {
     /// service does not simulate). Evaluated as a pure function of the
     /// event clock, which is what makes mid-window checkpoints exact.
     pub partitions: Vec<PartitionWindow>,
-    /// Worker threads for building each epoch commit's report batch
-    /// (per-shard staging + fixed-order merge; the result is
-    /// shard-count-invariant down to the bits). `1` commits serially,
-    /// `0` uses the machine's available parallelism. This is an
-    /// execution knob, not state: checkpoints do not carry it, and a
-    /// restored service commits serially until
-    /// [`TrustService::set_commit_shards`] is called (the host does
-    /// this on recovery).
-    pub commit_shards: usize,
     /// Peer-sampling membership overlay of the deployment, if any.
     /// The service core ingests whatever reaches it unchanged — the
     /// overlay constrains *workload generation*: a
@@ -208,7 +199,6 @@ impl Default for ServiceConfig {
             epoch: SimDuration::from_secs(60),
             disclosure_level: 4,
             partitions: Vec::new(),
-            commit_shards: 1,
             membership: None,
         }
     }
@@ -520,114 +510,34 @@ impl TrustService {
         Ok(())
     }
 
-    /// The configured commit shard count with `0` (auto) resolved.
-    fn effective_commit_shards(&self) -> usize {
-        match self.config.commit_shards {
-            0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
-            n => n,
-        }
-    }
-
-    /// Overrides the commit shard count. The knob is execution-only
-    /// (never serialized), so a recovery layer calls this after a
-    /// restore to bring a recovered service back to its configured
-    /// parallelism. Any value is sound: shard count never changes the
-    /// committed bits, only how the batch is built.
-    pub fn set_commit_shards(&mut self, shards: usize) {
-        self.config.commit_shards = shards;
-    }
-
     /// Commits the open epoch at boundary `end`: applies the staged
     /// batch to the mechanism in arrival order, refreshes, samples.
     fn commit_epoch(&mut self, end: SimTime) {
         let mut views = std::mem::take(&mut self.views);
         views.clear();
-        let shards = self.effective_commit_shards();
-        if shards > 1 && self.staged.len() >= shards * 2 {
-            // Per-shard staging: each worker builds the report views and
-            // disclosure deltas of one contiguous chunk independently
-            // (`DisclosurePolicy::view` is pure). The merge below
-            // re-applies them in ascending shard order, so the final
-            // view order is exactly the serial arrival order and the
-            // commit is shard-count-invariant down to the bits.
-            let chunk = self.staged.len().div_ceil(shards);
-            let policy = self.policy;
-            let staged = &self.staged;
-            type ShardPart = (Vec<tsn_reputation::ReportView>, Vec<(usize, bool)>);
-            let mut parts: Vec<ShardPart> = Vec::with_capacity(shards);
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = staged
-                    .chunks(chunk)
-                    .map(|slice| {
-                        scope.spawn(move || {
-                            let mut shard_views = Vec::with_capacity(slice.len());
-                            let mut disclosures = Vec::new();
-                            for event in slice {
-                                match *event {
-                                    ServiceEvent::Interaction {
-                                        rater,
-                                        ratee,
-                                        outcome,
-                                        at,
-                                    } => {
-                                        shard_views.push(policy.view(&FeedbackReport {
-                                            rater,
-                                            ratee,
-                                            outcome,
-                                            topic: None,
-                                            at,
-                                        }));
-                                    }
-                                    ServiceEvent::Disclosure {
-                                        node, respected, ..
-                                    } => disclosures.push((node.index(), respected)),
-                                }
-                            }
-                            (shard_views, disclosures)
-                        })
-                    })
-                    .collect();
-                for handle in handles {
-                    // tsn-lint: allow(no-unwrap, "join() re-raises a commit-shard worker panic on the coordinating thread; not a new failure mode")
-                    parts.push(handle.join().expect("commit shard worker panicked"));
-                }
-            });
-            // Merge barrier, in ascending shard order.
-            for (shard_views, disclosures) in parts {
-                views.extend(shard_views);
-                for (index, respected) in disclosures {
-                    let cell = &mut self.exposure[index];
-                    cell.disclosures += 1;
-                    if !respected {
-                        cell.breaches += 1;
-                    }
-                }
-            }
-        } else {
-            for event in &self.staged {
-                match *event {
-                    ServiceEvent::Interaction {
+        for event in &self.staged {
+            match *event {
+                ServiceEvent::Interaction {
+                    rater,
+                    ratee,
+                    outcome,
+                    at,
+                } => {
+                    views.push(self.policy.view(&FeedbackReport {
                         rater,
                         ratee,
                         outcome,
+                        topic: None,
                         at,
-                    } => {
-                        views.push(self.policy.view(&FeedbackReport {
-                            rater,
-                            ratee,
-                            outcome,
-                            topic: None,
-                            at,
-                        }));
-                    }
-                    ServiceEvent::Disclosure {
-                        node, respected, ..
-                    } => {
-                        let cell = &mut self.exposure[node.index()];
-                        cell.disclosures += 1;
-                        if !respected {
-                            cell.breaches += 1;
-                        }
+                    }));
+                }
+                ServiceEvent::Disclosure {
+                    node, respected, ..
+                } => {
+                    let cell = &mut self.exposure[node.index()];
+                    cell.disclosures += 1;
+                    if !respected {
+                        cell.breaches += 1;
                     }
                 }
             }
@@ -1070,9 +980,6 @@ impl TrustService {
             epoch,
             disclosure_level,
             partitions,
-            // Execution knob, deliberately not serialized: the restoring
-            // host re-applies its own configured value.
-            commit_shards: 1,
             membership,
         };
         let mut service = TrustService::new(config)?;

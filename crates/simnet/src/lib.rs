@@ -1,15 +1,16 @@
-//! # tsn-simnet — deterministic discrete-event simulator for P2P networks
+//! # tsn-simnet — deterministic P2P network substrate
 //!
 //! This crate is the *substrate* on which the `tsn` reproduction of
 //! "Trust your Social Network According to Satisfaction, Reputation and
 //! Privacy" (Busnel, Serrano-Alvarado, Lamarre, 2010) runs. The paper argues
 //! for fully decentralized social networks; since no live deployment is
-//! available, every experiment in the repository executes on this simulator.
+//! available, every experiment in the repository executes on simulated
+//! peers. Higher layers (the scenario round engine, the gossip and
+//! manager protocols, the online service) own their loops and drive
+//! this crate's parts on a virtual clock ([`SimTime`]).
 //!
-//! The simulator is:
+//! The substrate is:
 //!
-//! * **discrete-event** — a virtual clock ([`SimTime`]) advances from event
-//!   to event through a priority queue ([`EventQueue`]);
 //! * **deterministic** — all randomness flows through a seedable
 //!   [`SimRng`] (ChaCha-based), so a `(seed, config)` pair reproduces a run
 //!   bit-for-bit;
@@ -37,16 +38,14 @@
 //! ## Quick example
 //!
 //! ```
-//! use tsn_simnet::{Simulation, SimDuration, SimTime, SimRng, NodeId};
+//! use tsn_simnet::{Network, NetworkConfig, SimRng, SimTime};
 //!
-//! let mut sim = Simulation::new(SimRng::seed_from_u64(42));
-//! let a = sim.add_node();
-//! let b = sim.add_node();
-//! sim.schedule_in(SimDuration::from_millis(5), move |sim| {
-//!     sim.network_mut().send(a, b, "hello".into());
-//! });
-//! let report = sim.run_until(SimTime::from_secs(1));
-//! assert!(report.events_processed >= 1);
+//! let mut net = Network::new(NetworkConfig::default(), SimRng::seed_from_u64(42));
+//! let a = net.add_node();
+//! let b = net.add_node();
+//! net.send(a, b, "hello".into());
+//! assert_eq!(net.advance_to(SimTime::from_secs(1)), 1);
+//! assert_eq!(net.take_inbox(b).len(), 1);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -55,7 +54,6 @@
 pub mod churn;
 pub mod codec;
 pub mod dynamics;
-pub mod event;
 pub mod faults;
 pub mod latency;
 pub mod membership;
@@ -65,15 +63,12 @@ pub mod network;
 pub mod partition;
 pub mod pool;
 pub mod rng;
-pub mod sim;
 pub mod streams;
 pub mod time;
-pub mod trace;
 
 pub use churn::{ChurnConfig, ChurnEvent, ChurnProcess, NodeLifecycle};
 pub use codec::{ByteReader, ByteWriter};
 pub use dynamics::{DynamicsEvent, DynamicsPlan, DynamicsRuntime, PartitionWindow, RegionPlan};
-pub use event::{Event, EventId, EventQueue, ScheduledEvent};
 pub use faults::{
     FaultInjector, FaultPlan, FaultTarget, MessageFault, MessageFaultKind, MessageVerdict,
     ProcessFault, StorageFault, StorageFaultKind,
@@ -85,19 +80,17 @@ pub use membership::{
     MembershipConfig, MembershipRuntime, PartialView, ShuffleStats, ViewEntry, MEMBERSHIP_SEED_SALT,
 };
 pub use message::{Envelope, MessageId, Payload, Tag};
-pub use metrics::{Counter, Histogram, MetricSet};
+pub use metrics::Counter;
 pub use network::{DeliveryOutcome, Network, NetworkConfig, NetworkStats};
 pub use partition::{GroupMap, PartitionedLoss, RegionalLatency};
 pub use pool::BufferPool;
 pub use rng::SimRng;
-pub use sim::{RunReport, Simulation, StopCondition};
 pub use streams::{StreamDomain, StreamFamily};
 pub use time::{SimDuration, SimTime};
-pub use trace::{TraceEvent, TraceKind, TraceLog};
 
 /// Identifier of a simulated node (participant / peer).
 ///
-/// `NodeId`s are dense indices handed out by [`Simulation::add_node`] (or by
+/// `NodeId`s are dense indices handed out by [`Network::add_node`] (or by
 /// higher layers that manage their own populations); they index directly
 /// into per-node vectors throughout the workspace.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]

@@ -51,11 +51,11 @@ pub enum StreamFamily {
 /// its low-bit layout.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum StreamDomain {
-    /// Per-(round, node) interaction streams of the scenario engine's
-    /// sharded path. Low bits: `(round << 32) | node`.
+    /// Per-(round, node) interaction streams of the scenario round
+    /// engine. Low bits: `(round << 32) | node`.
     Interaction,
-    /// Per-round offline coin flips of the scenario engine's sharded
-    /// path. Low bits: `round`.
+    /// Per-round offline coin flips of the scenario round engine. Low
+    /// bits: `round`.
     ScenarioOffline,
     /// Per-(epoch, node) op streams of the service driver. Low bits:
     /// `(epoch << 32) | node`.

@@ -1,4 +1,4 @@
-//! Virtual time for the discrete-event simulator.
+//! Virtual time of the simulated network.
 //!
 //! Time is counted in integer **microseconds** since the start of the
 //! simulation. Integer time keeps event ordering exact (no floating-point

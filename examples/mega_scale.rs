@@ -1,5 +1,5 @@
 //! Mega-scale scenario: one run, a hundred thousand (or a million)
-//! users on the sharded round engine.
+//! users on the round engine, spread over every core.
 //!
 //! ```text
 //! cargo run --release --example mega_scale                  # 20k × 5 rounds (CI smoke)
@@ -32,7 +32,7 @@ fn env_usize(name: &str, default: usize) -> usize {
 fn main() {
     let nodes = env_usize("MEGA_NODES", 20_000);
     let rounds = env_usize("MEGA_ROUNDS", 5);
-    println!("mega-scale scenario: {nodes} nodes × {rounds} rounds (sharded engine)");
+    println!("mega-scale scenario: {nodes} nodes × {rounds} rounds");
 
     // tsn-lint: allow(wall-clock, "demo prints wall-clock throughput; the simulation itself runs on the sim clock")
     let start = Instant::now();

@@ -7,7 +7,8 @@
 //! The workspace implements the fully decentralized social network the
 //! paper argues for, plus the three facets the paper couples together:
 //!
-//! * [`simnet`] — deterministic discrete-event P2P simulator;
+//! * [`simnet`] — deterministic P2P network substrate (transport,
+//!   churn, dynamics, faults, membership overlay);
 //! * [`graph`] — social-graph generators and metrics;
 //! * [`reputation`] — EigenTrust, Beta, PowerTrust, TrustMe-style
 //!   mechanisms, anonymized variants and adversary models;
@@ -54,6 +55,6 @@ pub mod prelude {
     };
     pub use tsn_simnet::{
         DynamicsPlan, DynamicsRuntime, FaultInjector, FaultPlan, NodeId, PartitionWindow,
-        SimDuration, SimRng, SimTime, Simulation,
+        SimDuration, SimRng, SimTime,
     };
 }

@@ -4,12 +4,14 @@
 //! the disclosure ledger were rewritten for performance (scratch
 //! buffers, incremental CSR, running counters). Those rewrites must not
 //! change a single bit of any outcome: this suite pins a grid of
-//! (config, seed) fixtures to golden files capturing every float of the
-//! [`ScenarioOutcome`] (shortest round-trip form, so the comparison is
-//! exact) plus a full [`SweepReport`] CSV.
+//! (config, seed) fixtures to golden files capturing every field of the
+//! `ScenarioOutcome` (the shared `common::fingerprint`, shortest
+//! round-trip form, so the comparison is exact) plus a full
+//! `SweepReport` CSV.
 //!
-//! The goldens were generated from the pre-refactor code. To regenerate
-//! after an *intentional* semantic change:
+//! The scenario goldens pin the round engine's synchronous round
+//! semantics (DESIGN.md §10). To regenerate after an *intentional*
+//! semantic change:
 //!
 //! ```text
 //! GOLDEN_REGEN=1 cargo test --test equivalence
@@ -20,7 +22,7 @@
 use tsn_core::config::PolicyProfile;
 use tsn_core::json::format_f64;
 use tsn_core::runner::{DisclosureLevel, ScenarioBuilder, SweepGrid, SweepRunner};
-use tsn_core::scenario::{Scenario, ScenarioOutcome};
+use tsn_core::scenario::Scenario;
 use tsn_graph::generators;
 use tsn_protocol::{GossipConfig, GossipNetwork};
 use tsn_reputation::{AnonymizationConfig, MechanismKind, SelectionPolicy};
@@ -32,83 +34,11 @@ use tsn_simnet::{
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
+mod common;
+use common::fingerprint;
+
 fn golden_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden")
-}
-
-/// Serializes every field of an outcome in bit-exact text form.
-/// `format_f64` emits the shortest string that round-trips, so two
-/// outcomes serialize identically iff every float is bit-identical.
-fn fingerprint(o: &ScenarioOutcome) -> String {
-    let mut s = String::new();
-    let f = |v: f64| format_f64(v);
-    let vec = |vs: &[f64]| {
-        vs.iter()
-            .map(|&v| format_f64(v))
-            .collect::<Vec<_>>()
-            .join(",")
-    };
-    let _ = writeln!(
-        s,
-        "facets privacy={} reputation={} satisfaction={}",
-        f(o.facets.privacy),
-        f(o.facets.reputation),
-        f(o.facets.satisfaction)
-    );
-    let _ = writeln!(s, "global_trust {}", f(o.global_trust));
-    let _ = writeln!(s, "per_user_trust {}", vec(&o.per_user_trust));
-    let _ = writeln!(s, "per_user_satisfaction {}", vec(&o.per_user_satisfaction));
-    let _ = writeln!(s, "per_user_respect {}", vec(&o.per_user_respect));
-    let _ = writeln!(
-        s,
-        "power consistency={} rmse={} reliability={} efficiency={} iterations={} overhead={}",
-        f(o.power.consistency),
-        f(o.power.rmse),
-        f(o.power.reliability),
-        f(o.power.efficiency),
-        o.power.iterations,
-        o.power.overhead_per_report
-    );
-    let _ = writeln!(
-        s,
-        "satisfaction mean={} min={} jain={} gini={} population={}",
-        f(o.satisfaction.mean),
-        f(o.satisfaction.min),
-        f(o.satisfaction.jain_index),
-        f(o.satisfaction.gini),
-        o.satisfaction.population
-    );
-    let _ = writeln!(
-        s,
-        "ledger respect_rate={} user_breaches={} system_breaches={}",
-        f(o.respect_rate),
-        o.user_breaches,
-        o.system_breaches
-    );
-    let _ = writeln!(
-        s,
-        "misc oecd={} willingness={} denial={} interactions={} messages={}",
-        f(o.oecd_score),
-        f(o.mean_willingness),
-        f(o.denial_rate),
-        o.interactions,
-        o.messages
-    );
-    for r in &o.samples {
-        let _ = writeln!(
-            s,
-            "round {} sat={} trust={} respect={} consistency={} willingness={} success={} reports={}",
-            r.round,
-            f(r.mean_satisfaction),
-            f(r.mean_trust),
-            f(r.respect_rate),
-            f(r.consistency),
-            f(r.mean_willingness),
-            f(r.success_rate),
-            r.reports_filed
-        );
-    }
-    s
 }
 
 /// The pinned fixture grid: every mechanism, several disclosure levels,

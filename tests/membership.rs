@@ -15,44 +15,13 @@
 //! * every peer flows through every view within O(log n) shuffle
 //!   rounds (temporal coverage — the dissemination half of uniformity).
 
-use tsn_core::json::format_f64;
 use tsn_core::runner::ScenarioBuilder;
-use tsn_core::scenario::ScenarioOutcome;
 use tsn_simnet::{
     DynamicsPlan, MembershipConfig, MembershipRuntime, SimTime, MEMBERSHIP_SEED_SALT,
 };
 
-/// Bit-exact text form of the outcome floats plus the per-round series
-/// the overlay feeds (`availability`, `partition_health`, `isolated`).
-fn fingerprint(o: &ScenarioOutcome) -> String {
-    let mut s = String::new();
-    s.push_str(&format!(
-        "facets {} {} {} trust {}\n",
-        format_f64(o.facets.privacy),
-        format_f64(o.facets.reputation),
-        format_f64(o.facets.satisfaction),
-        format_f64(o.global_trust),
-    ));
-    s.push_str(&format!(
-        "counts interactions={} messages={} user_breaches={} system_breaches={} whitewashes={}\n",
-        o.interactions, o.messages, o.user_breaches, o.system_breaches, o.whitewashes
-    ));
-    for v in &o.per_user_trust {
-        s.push_str(&format!("t {}\n", format_f64(*v)));
-    }
-    for r in &o.samples {
-        s.push_str(&format!(
-            "round {} {} {} {} {} {}\n",
-            r.round,
-            format_f64(r.mean_trust),
-            format_f64(r.mean_satisfaction),
-            format_f64(r.availability),
-            format_f64(r.partition_health),
-            r.isolated,
-        ));
-    }
-    s
-}
+mod common;
+use common::fingerprint;
 
 /// A small overlay so views actually constrain choice: 50 nodes each
 /// seeing at most 6 peers, refreshed 3 entries per round.
@@ -76,16 +45,16 @@ fn base() -> ScenarioBuilder {
 
 #[test]
 fn view_constrained_selection_is_shard_count_invariant() {
-    // The shuffle runs in the serial control path of both engines and
-    // the shard phase reads a frozen snapshot of the views, so the
-    // shard count must not leak into any float or counter.
-    let reference = fingerprint(&base().build_scenario().expect("valid").run_sharded(1));
-    for shards in [2usize, 8] {
+    // The shuffle runs on the control thread before the interaction
+    // phase, which reads a frozen snapshot of the views, so the shard
+    // count must not leak into any float or counter.
+    let reference = fingerprint(&base().run().expect("valid"));
+    for shards in [1usize, 2, 8] {
         let outcome = base().build_scenario().expect("valid").run_sharded(shards);
         assert_eq!(
             reference,
             fingerprint(&outcome),
-            "{shards} shards diverged from 1 shard under the membership overlay"
+            "{shards} shards diverged from run() under the membership overlay"
         );
     }
 }

@@ -18,6 +18,9 @@ use tsn::satisfaction::aggregate::{gini_coefficient, GlobalSatisfaction};
 use tsn::satisfaction::SatisfactionTracker;
 use tsn::simnet::{NodeId, SimRng, SimTime};
 
+mod common;
+use common::fingerprint;
+
 const CASES: usize = 128;
 
 fn rng_for(test: u64) -> SimRng {
@@ -547,6 +550,97 @@ fn membership_views_keep_invariants_under_random_churn() {
                     );
                 }
             }
+        }
+    }
+}
+
+/// The round engine's outcome is a function of `(config, seed)` alone:
+/// over random small configs — every mechanism and selection policy,
+/// i.i.d. churn, adaptive disclosure, adversary mixes, the dynamics
+/// presets and the membership overlay on and off — `run()` equals
+/// `run_sharded(k)` bit-for-bit on every field of the outcome.
+#[test]
+fn run_equals_any_shard_count_over_random_configs() {
+    use tsn::core::runner::{DisclosureLevel, ScenarioBuilder};
+    use tsn::core::PolicyProfile;
+    use tsn::reputation::{AnonymizationConfig, MechanismKind, PopulationConfig};
+    use tsn::simnet::{DynamicsPlan, MembershipConfig, SimDuration};
+
+    let mut rng = rng_for(29);
+    let hours = |h: u64| SimTime::from_secs(h * 3600);
+    for case in 0..64 {
+        let nodes = 8 + rng.gen_range(0..57u32) as usize;
+        let rounds = 2 + rng.gen_range(0..5u32) as usize;
+        let malicious = rng.gen_f64() * 0.4;
+        let traitor = rng.gen_f64() * 0.3;
+        let mut builder = ScenarioBuilder::small()
+            .seed(rng.next_u64())
+            .nodes(nodes)
+            .rounds(rounds)
+            .graph(
+                2 * (1 + rng.gen_range(0..3u32) as usize),
+                rng.gen_f64() * 0.3,
+            )
+            .interactions_per_node(1 + rng.gen_range(0..3u32) as usize)
+            .refresh_every(1 + rng.gen_range(0..3u32) as usize)
+            .mechanism(*rng.choose(&MechanismKind::ALL).unwrap())
+            .selection(*rng.choose(&SelectionPolicy::SWEEP).unwrap())
+            .policy_profile(*rng.choose(&PolicyProfile::ALL).unwrap())
+            .disclosure(*rng.choose(&DisclosureLevel::ALL).unwrap())
+            .adaptive_disclosure(rng.gen_bool(0.5))
+            .population(PopulationConfig {
+                malicious,
+                traitor,
+                traitor_switch_after: 1 + rng.gen_range(0..4u32) as u64,
+                selfish: rng.gen_f64() * (1.0 - malicious - traitor) * 0.5,
+                ..Default::default()
+            });
+        if rng.gen_bool(0.2) {
+            builder = builder.anonymization(AnonymizationConfig::default());
+        }
+        builder = match rng.gen_range(0..7u32) {
+            0 => builder,
+            1 => builder.churn(rng.gen_f64() * 0.6),
+            2 => builder.flash_crowd(),
+            3 => builder.split_then_heal(1, rounds),
+            4 => builder.whitewash_attack(),
+            5 => builder.dynamics(DynamicsPlan::relay_outage(2, hours(1), hours(3))),
+            _ => builder.dynamics(DynamicsPlan::bootstrap_storm(
+                SimDuration::from_secs(3 * 3600),
+                SimDuration::from_secs(3600),
+            )),
+        };
+        if rng.gen_bool(0.5) {
+            let view_size = 2 + rng.gen_range(0..8u32) as usize;
+            let shuffle_len = 1 + rng.gen_range(0..view_size as u32) as usize;
+            let healing = rng.gen_range(0..(shuffle_len + 1) as u32) as usize;
+            builder = builder.membership(MembershipConfig {
+                view_size,
+                shuffle_len,
+                healing,
+                swap: shuffle_len - healing,
+                relays: 1 + rng.gen_range(0..4u32) as usize,
+                relay_fanout: 1 + rng.gen_range(0..view_size as u32) as usize,
+            });
+        }
+        let config = builder.clone().build();
+        let reference = fingerprint(
+            &builder
+                .clone()
+                .run()
+                .unwrap_or_else(|e| panic!("case {case}: generated config rejected: {e}")),
+        );
+        for shards in [1usize, 2, 3, 8] {
+            let sharded = builder
+                .clone()
+                .build_scenario()
+                .expect("validated above")
+                .run_sharded(shards);
+            assert_eq!(
+                reference,
+                fingerprint(&sharded),
+                "case {case}: {shards} shards diverged from run() for {config:?}"
+            );
         }
     }
 }
