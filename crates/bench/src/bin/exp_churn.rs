@@ -4,116 +4,50 @@
 //! whitewashing is exactly the attack that *requires* persistent
 //! identities, i.e. the privacy-reputation tension in its sharpest form.
 //!
-//! The experiment keeps a fixed population of behaviour "slots" whose
-//! *current identity* changes on whitewash: the mechanism sees a fresh
-//! node (prior score), while ground truth knows it is the same adversary.
+//! Both sweeps run on the scenario round engine. Whitewashing is session
+//! churn in which every re-join takes a fresh identity: the mechanism
+//! sees a new node with a prior score, while ground truth knows it is
+//! the same peer. The churn sweep uses the i.i.d. per-round offline coin.
 //!
 //! Run: `cargo run --release -p tsn-bench --bin exp_churn`
 
 use tsn_bench::{emit, mean};
 use tsn_core::report::{ExperimentRow, ExperimentTable};
-use tsn_graph::generators;
-use tsn_reputation::mechanism::build_mechanism;
-use tsn_reputation::{
-    DisclosurePolicy, MechanismKind, Population, PopulationConfig, SelectionPolicy,
-};
-use tsn_simnet::{NodeId, SimRng, SimTime};
+use tsn_core::runner::ScenarioBuilder;
+use tsn_core::scenario::{ScenarioOutcome, ROUND_DURATION};
+use tsn_core::PolicyProfile;
+use tsn_reputation::MechanismKind;
+use tsn_simnet::{ChurnConfig, DynamicsPlan};
 
-/// Runs one whitewashing economy: returns (honest success rate,
-/// mean score of adversarial current identities at the end).
-fn run_whitewash(
-    mechanism_kind: MechanismKind,
-    whitewash_every: Option<usize>,
-    offline_fraction: f64,
-    seed: u64,
-) -> (f64, f64) {
-    let n = 80;
-    let rounds = 30;
-    let mut rng = SimRng::seed_from_u64(seed);
-    let mut graph_rng = rng.fork(1);
-    let graph = generators::watts_strogatz(n, 8, 0.1, &mut graph_rng).expect("valid parameters");
-    let mut pop_rng = rng.fork(2);
-    let mut population = Population::new(n, PopulationConfig::with_malicious(0.3), &mut pop_rng);
+/// The A2 economy: 80 users, one interaction each per round, 30 %
+/// adversaries, permissive privacy policies.
+fn economy(mechanism: MechanismKind, seed: u64) -> ScenarioBuilder {
+    ScenarioBuilder::new()
+        .nodes(80)
+        .rounds(30)
+        .interactions_per_node(1)
+        .malicious_fraction(0.3)
+        .policy_profile(PolicyProfile::Permissive)
+        .mechanism(mechanism)
+        .seed(seed)
+}
 
-    // identity[slot] = the NodeId the mechanism currently knows this slot as.
-    let mut identity: Vec<NodeId> = (0..n).map(NodeId::from_index).collect();
-    let mut next_id = n;
-    let mut mechanism = build_mechanism(mechanism_kind, n);
-    let disclosure = DisclosurePolicy::full();
-    let selection = SelectionPolicy::Proportional { sharpness: 2.0 };
-
-    let mut ok = 0u64;
-    let mut tried = 0u64;
-    for round in 0..rounds {
-        // Whitewash: adversarial slots take fresh identities periodically.
-        if let Some(every) = whitewash_every {
-            if round > 0 && round % every == 0 {
-                for (slot, id) in identity.iter_mut().enumerate().take(n) {
-                    if population.is_adversarial(NodeId::from_index(slot)) {
-                        *id = NodeId::from_index(next_id);
-                        next_id += 1;
-                        mechanism.resize(next_id);
-                    }
-                }
-            }
-        }
-        // Churn: a random subset is offline this round.
-        let offline: Vec<bool> = (0..n).map(|_| rng.gen_bool(offline_fraction)).collect();
-        for consumer_slot in 0..n {
-            if offline[consumer_slot] {
-                continue;
-            }
-            let consumer = NodeId::from_index(consumer_slot);
-            let candidates: Vec<usize> = graph
-                .neighbors(consumer)
-                .iter()
-                .filter(|p| !offline[p.index()])
-                .map(|p| p.index())
-                .collect();
-            let current_ids: Vec<NodeId> = candidates.iter().map(|&s| identity[s]).collect();
-            let mech = &mechanism;
-            let Some(chosen_id) = selection.select(&current_ids, |c| mech.score(c), &mut rng)
-            else {
-                continue;
-            };
-            let provider_slot = candidates[current_ids
-                .iter()
-                .position(|&c| c == chosen_id)
-                .expect("chosen from list")];
-            let provider = NodeId::from_index(provider_slot);
-            let outcome = population.interact(provider, consumer, &mut rng);
-            tried += 1;
-            if outcome.is_success() && !population.is_adversarial(consumer) {
-                ok += 1;
-            } else if !population.is_adversarial(consumer) {
-                // count tried only for honest consumers
-            }
-            if population.is_adversarial(consumer) {
-                tried -= 1; // honest-consumer metric only
-            }
-            let mut report = population.feedback(consumer, provider, outcome, SimTime::ZERO, None);
-            // Reports are filed under *current* identities.
-            report.rater = identity[consumer_slot];
-            report.ratee = identity[provider_slot];
-            mechanism.record(&disclosure.view(&report));
-        }
-        if (round + 1) % 5 == 0 {
-            mechanism.refresh();
-        }
+/// Sessions of `rounds` rounds on average, a quarter-round downtime, and
+/// every re-join under a fresh identity.
+fn whitewash_every(rounds: f64) -> DynamicsPlan {
+    DynamicsPlan {
+        churn: Some(ChurnConfig {
+            mean_session: ROUND_DURATION.mul_f64(rounds),
+            mean_downtime: ROUND_DURATION.mul_f64(0.25),
+            whitewash_probability: 1.0,
+            crash_fraction: 0.0,
+        }),
+        ..Default::default()
     }
-    mechanism.refresh();
-    let adv_scores: Vec<f64> = (0..n)
-        .filter(|&s| population.is_adversarial(NodeId::from_index(s)))
-        .map(|s| mechanism.score(identity[s]))
-        .collect();
-    (
-        if tried == 0 {
-            0.0
-        } else {
-            ok as f64 / tried as f64
-        },
-        mean(adv_scores),
-    )
+}
+
+fn success_rate(outcome: &ScenarioOutcome) -> f64 {
+    mean(outcome.samples.iter().map(|r| r.success_rate))
 }
 
 fn main() {
@@ -125,36 +59,44 @@ fn main() {
     ];
 
     // --- Whitewashing sweep.
-    let periods: [(&str, Option<usize>); 4] = [
+    let periods: [(&str, Option<f64>); 4] = [
         ("never", None),
-        ("every10", Some(10)),
-        ("every5", Some(5)),
-        ("every2", Some(2)),
+        ("every10", Some(10.0)),
+        ("every5", Some(5.0)),
+        ("every2", Some(2.0)),
     ];
     let mut t1 = ExperimentTable::new(
         "A2a",
-        "honest success rate vs whitewash frequency (30% adversaries)",
+        "success rate vs whitewash frequency (30% adversaries)",
         periods.iter().map(|(l, _)| *l),
     );
     let mut t2 = ExperimentTable::new(
         "A2b",
-        "mean adversary score (their current identity) vs whitewash frequency",
+        "mechanism reliability (adversary detection) vs whitewash frequency",
         periods.iter().map(|(l, _)| *l),
     );
     let mut never_vs_fast = Vec::new();
     for &mechanism in &mechanisms {
         let mut s_cells = Vec::new();
-        let mut a_cells = Vec::new();
+        let mut r_cells = Vec::new();
         for &(_, every) in &periods {
-            let results: Vec<(f64, f64)> = (0..seeds)
-                .map(|s| run_whitewash(mechanism, every, 0.0, 5000 + s))
+            let outcomes: Vec<ScenarioOutcome> = (0..seeds)
+                .map(|s| {
+                    let builder = economy(mechanism, 5000 + s);
+                    match every {
+                        Some(rounds) => builder.dynamics(whitewash_every(rounds)),
+                        None => builder,
+                    }
+                    .run()
+                    .expect("valid configuration")
+                })
                 .collect();
-            s_cells.push(mean(results.iter().map(|r| r.0)));
-            a_cells.push(mean(results.iter().map(|r| r.1)));
+            s_cells.push(mean(outcomes.iter().map(success_rate)));
+            r_cells.push(mean(outcomes.iter().map(|o| o.power.reliability)));
         }
-        never_vs_fast.push((s_cells[0], s_cells[3], a_cells[0], a_cells[3]));
+        never_vs_fast.push((s_cells[0], s_cells[3], r_cells[0], r_cells[3]));
         t1.push(ExperimentRow::new(mechanism.name(), s_cells));
-        t2.push(ExperimentRow::new(mechanism.name(), a_cells));
+        t2.push(ExperimentRow::new(mechanism.name(), r_cells));
     }
     emit(&t1);
     emit(&t2);
@@ -163,33 +105,41 @@ fn main() {
     let offline = [0.0, 0.2, 0.4];
     let mut t3 = ExperimentTable::new(
         "A2c",
-        "honest success rate vs offline fraction per round",
+        "success rate vs offline fraction per round",
         offline.iter().map(|f| format!("{:.0}%", f * 100.0)),
     );
     for &mechanism in &mechanisms {
         let cells: Vec<f64> = offline
             .iter()
-            .map(|&frac| mean((0..seeds).map(|s| run_whitewash(mechanism, None, frac, 6000 + s).0)))
+            .map(|&frac| {
+                mean((0..seeds).map(|s| {
+                    let outcome = economy(mechanism, 6000 + s)
+                        .churn(frac)
+                        .run()
+                        .expect("valid configuration");
+                    success_rate(&outcome)
+                }))
+            })
             .collect();
         t3.push(ExperimentRow::new(mechanism.name(), cells));
     }
     emit(&t3);
 
-    // Reproduction shape: whitewashing must help adversaries — honest
-    // success drops as whitewashing accelerates (the adversary-score
-    // column is reported for context; evidence-hungry mechanisms show it
-    // rising, while fast-converging ones re-learn within a round or two).
+    // Reproduction shape: whitewashing must help adversaries — success
+    // drops as whitewashing accelerates (the reliability column is
+    // reported for context: a fresh identity carries no evidence, so
+    // detection has less to go on).
     let mut ok = true;
     for (i, &mechanism) in mechanisms.iter().enumerate() {
-        let (s_never, s_fast, a_never, a_fast) = never_vs_fast[i];
+        let (s_never, s_fast, r_never, r_fast) = never_vs_fast[i];
         let pass = s_fast < s_never - 0.02;
         println!(
-            "check {}: honest success {:.3}->{:.3} (adversary score {:.3}->{:.3}) -> {}",
+            "check {}: success {:.3}->{:.3} (reliability {:.3}->{:.3}) -> {}",
             mechanism.name(),
             s_never,
             s_fast,
-            a_never,
-            a_fast,
+            r_never,
+            r_fast,
             if pass { "PASS" } else { "FAIL" }
         );
         ok &= pass;

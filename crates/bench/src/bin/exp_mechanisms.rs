@@ -1,16 +1,18 @@
-//! **A1 — mechanism comparison under attack** (ablation): honest-consumer
+//! **A1 — mechanism comparison under attack** (ablation): consumer
 //! success rate and mechanism power for every implemented mechanism as
 //! the malicious fraction grows — the standard evaluation of the
 //! reputation literature the paper builds on (EigenTrust §5, PowerTrust
-//! §6), run on the tsn substrate.
+//! §6), run on the scenario round engine. Permissive privacy policies
+//! keep enforcement out of the way, so only the reputation facet
+//! shapes who gets served.
 //!
 //! Run: `cargo run --release -p tsn-bench --bin exp_mechanisms`
 
 use tsn_bench::{emit, mean};
 use tsn_core::report::{ExperimentRow, ExperimentTable};
-use tsn_reputation::{
-    testbed::run_testbed, MechanismKind, PopulationConfig, SelectionPolicy, TestbedConfig,
-};
+use tsn_core::runner::ScenarioBuilder;
+use tsn_core::PolicyProfile;
+use tsn_reputation::{MechanismKind, SelectionPolicy};
 
 fn main() {
     let fractions = [0.0, 0.1, 0.2, 0.3, 0.4, 0.5];
@@ -18,7 +20,7 @@ fn main() {
 
     let mut success = ExperimentTable::new(
         "A1a",
-        "honest-consumer success rate vs malicious fraction",
+        "consumer success rate vs malicious fraction",
         fractions.iter().map(|f| format!("{:.0}%", f * 100.0)),
     );
     let mut power = ExperimentTable::new(
@@ -36,22 +38,22 @@ fn main() {
             let mut s = Vec::new();
             let mut p = Vec::new();
             for seed in 0..seeds {
-                let config = TestbedConfig {
-                    nodes: 100,
-                    rounds: 30,
-                    population: PopulationConfig::with_malicious(malicious),
-                    mechanism,
-                    selection: if mechanism == MechanismKind::None {
+                let outcome = ScenarioBuilder::new()
+                    .nodes(100)
+                    .rounds(30)
+                    .malicious_fraction(malicious)
+                    .mechanism(mechanism)
+                    .selection(if mechanism == MechanismKind::None {
                         SelectionPolicy::Random
                     } else {
                         SelectionPolicy::Proportional { sharpness: 2.0 }
-                    },
-                    seed: 4000 + seed,
-                    ..Default::default()
-                };
-                let summary = run_testbed(config).expect("valid config");
-                s.push(summary.honest_success_rate);
-                p.push(summary.power.consistency);
+                    })
+                    .policy_profile(PolicyProfile::Permissive)
+                    .seed(4000 + seed)
+                    .run()
+                    .expect("valid configuration");
+                s.push(mean(outcome.samples.iter().map(|r| r.success_rate)));
+                p.push(outcome.power.consistency);
             }
             success_cells.push(mean(s));
             power_cells.push(mean(p));
@@ -68,7 +70,7 @@ fn main() {
     emit(&power);
 
     // Reproduction shape: under heavy attack (>= 30%), every real
-    // mechanism must beat the no-reputation baseline on honest success.
+    // mechanism must beat the no-reputation baseline on success.
     let heavy = [3usize, 4, 5]; // 30%, 40%, 50%
     let mut ok = true;
     for (mechanism, cells) in &best_rows {

@@ -14,13 +14,12 @@
 
 use crate::config::{PolicyProfile, ScenarioConfig};
 use crate::facets::FacetScores;
-use crate::runner::{ScenarioBuilder, SweepGrid, SweepRunner, ValidationError};
-use crate::scenario::run_scenario;
+use crate::runner::{DisclosureLevel, ScenarioBuilder, SweepGrid, SweepRunner, ValidationError};
 use crate::trust::TrustMetric;
 use tsn_reputation::{MechanismKind, SelectionPolicy};
 
 /// One evaluated configuration.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ConfigPoint {
     /// Mechanism used.
     pub mechanism: MechanismKind,
@@ -116,20 +115,46 @@ impl Optimizer {
     /// the base's policy (it is a response-block choice, not a
     /// privacy/reputation dial; the A-ablations sweep it separately).
     pub fn sweep(&self) -> SweepOutcome {
-        let seeds = self.point_seeds();
         let grid = SweepGrid::over(ScenarioBuilder::from_config(self.base.clone()))
             .all_mechanisms()
             .all_disclosures()
-            .all_profiles()
-            .seeds(seeds.iter().copied());
+            .all_profiles();
+        SweepOutcome {
+            points: self.points(grid, self.base.selection),
+        }
+    }
+
+    /// Evaluates one grid point, averaging facets over
+    /// [`Optimizer::seeds_per_point`] seeds — a one-point sweep, so it
+    /// equals the matching [`Optimizer::sweep`] point bit for bit.
+    pub fn evaluate(
+        &self,
+        mechanism: MechanismKind,
+        disclosure: DisclosureLevel,
+        policy_profile: PolicyProfile,
+        selection: SelectionPolicy,
+    ) -> ConfigPoint {
+        let base = ScenarioBuilder::from_config(self.base.clone()).selection(selection);
+        let grid = SweepGrid::over(base)
+            .mechanisms([mechanism])
+            .disclosures([disclosure])
+            .profiles([policy_profile]);
+        let mut points = self.points(grid, selection);
+        points.swap_remove(0)
+    }
+
+    /// Runs `grid` (whose base uses `selection`) over the point seeds
+    /// and averages each point's Monte-Carlo repetitions.
+    fn points(&self, grid: SweepGrid, selection: SelectionPolicy) -> Vec<ConfigPoint> {
+        let seeds = self.point_seeds();
         let report = SweepRunner::parallel()
-            .run(&grid)
-            // tsn-lint: allow(no-unwrap, "the base config was validated in Optimizer::new; deriving a builder from it cannot fail")
+            .run(&grid.seeds(seeds.iter().copied()))
+            // tsn-lint: allow(no-unwrap, "the base config was validated in Optimizer::new; grid coordinates are typed and in range")
             .expect("base validated in Optimizer::new");
         // Seeds are the innermost grid dimension: consecutive chunks of
         // `seeds.len()` cells are the Monte-Carlo repetitions of one
         // point, in the original (mechanism, disclosure, profile) order.
-        let points = report
+        report
             .cells
             .chunks(seeds.len())
             .map(|chunk| {
@@ -144,52 +169,12 @@ impl Optimizer {
                     mechanism: first.mechanism,
                     disclosure_level: first.disclosure.index(),
                     policy_profile: first.profile,
-                    selection: self.base.selection.label().to_owned(),
+                    selection: selection.label().to_owned(),
                     facets,
                     trust: self.metric.trust(&facets),
                 }
             })
-            .collect();
-        SweepOutcome { points }
-    }
-
-    /// Evaluates one grid point, averaging facets over
-    /// [`Optimizer::seeds_per_point`] seeds.
-    pub fn evaluate(
-        &self,
-        mechanism: MechanismKind,
-        disclosure_level: usize,
-        policy_profile: PolicyProfile,
-        selection: SelectionPolicy,
-    ) -> ConfigPoint {
-        let mut acc = (0.0, 0.0, 0.0);
-        let seeds = self.point_seeds();
-        for (mut config, seed) in std::iter::repeat_with(|| self.base.clone()).zip(&seeds) {
-            config.mechanism = mechanism;
-            config.disclosure_level = disclosure_level;
-            config.policy_profile = policy_profile;
-            config.selection = selection;
-            config.seed = *seed;
-            // tsn-lint: allow(no-unwrap, "sweep cells derive from the base validated in Optimizer::new; run_scenario cannot reject them")
-            let outcome = run_scenario(config).expect("sweep configs derive from a valid base");
-            acc.0 += outcome.facets.privacy;
-            acc.1 += outcome.facets.reputation;
-            acc.2 += outcome.facets.satisfaction;
-        }
-        let k = seeds.len() as f64;
-        let facets = FacetScores {
-            privacy: acc.0 / k,
-            reputation: acc.1 / k,
-            satisfaction: acc.2 / k,
-        };
-        ConfigPoint {
-            mechanism,
-            disclosure_level,
-            policy_profile,
-            selection: selection.label().to_owned(),
-            facets,
-            trust: self.metric.trust(&facets),
-        }
+            .collect()
     }
 
     /// Classifies sweep points into the Figure-2 (left) regions.
@@ -269,7 +254,7 @@ impl Optimizer {
             if current.disclosure_level > 0 {
                 candidates.push((current.disclosure_level - 1, current.policy_profile));
             }
-            if current.disclosure_level < 4 {
+            if current.disclosure_level + 1 < DisclosureLevel::ALL.len() {
                 candidates.push((current.disclosure_level + 1, current.policy_profile));
             }
             let pi = profile_idx(current.policy_profile);
@@ -280,7 +265,12 @@ impl Optimizer {
                 candidates.push((current.disclosure_level, profiles[pi + 1]));
             }
             for (level, profile) in candidates {
-                let cand = self.evaluate(current.mechanism, level, profile, self.base.selection);
+                let cand = self.evaluate(
+                    current.mechanism,
+                    DisclosureLevel::ALL[level],
+                    profile,
+                    self.base.selection,
+                );
                 if cand.trust > current.trust + 1e-9 {
                     current = cand;
                     improved = true;
@@ -317,7 +307,7 @@ mod tests {
         let o = optimizer();
         let p = o.evaluate(
             MechanismKind::Beta,
-            2,
+            DisclosureLevel::Timestamped,
             PolicyProfile::Mixed,
             SelectionPolicy::Best,
         );
@@ -325,6 +315,23 @@ mod tests {
         assert!((0.0..=1.0).contains(&p.trust));
         assert_eq!(p.disclosure_level, 2);
         assert_eq!(p.selection, "best");
+    }
+
+    #[test]
+    fn evaluate_equals_the_matching_sweep_point() {
+        let mut o = optimizer();
+        o.seeds_per_point = 2;
+        let sweep = o.sweep();
+        for swept in [&sweep.points[0], &sweep.points[37], &sweep.points[74]] {
+            let level = DisclosureLevel::ALL[swept.disclosure_level];
+            let point = o.evaluate(
+                swept.mechanism,
+                level,
+                swept.policy_profile,
+                o.base.selection,
+            );
+            assert_eq!(&point, swept);
+        }
     }
 
     #[test]
@@ -375,7 +382,7 @@ mod tests {
         let o = optimizer();
         let start = o.evaluate(
             MechanismKind::EigenTrust,
-            4,
+            DisclosureLevel::Full,
             PolicyProfile::Strict,
             SelectionPolicy::Best,
         );

@@ -6,7 +6,8 @@
 //! reputation experiment asks:
 //!
 //! * what *actually happens* when a consumer interacts with a provider
-//!   ([`Population::interact`]);
+//!   ([`Population::interact_frozen`], with [`Population::note_served`]
+//!   crediting the provider afterwards);
 //! * what the rater *reports* about it ([`Population::feedback`]),
 //!   including lies and collusion.
 
@@ -192,12 +193,13 @@ impl PopulationConfig {
 /// A concrete node population: classes, ground-truth qualities, counters.
 ///
 /// ```
-/// use tsn_reputation::{Population, PopulationConfig};
+/// use tsn_reputation::{NodeId, Population, PopulationConfig};
 /// use tsn_simnet::SimRng;
 ///
 /// let mut rng = SimRng::seed_from_u64(7);
 /// let pop = Population::new(10, PopulationConfig::with_malicious(0.3), &mut rng);
-/// assert_eq!(pop.adversarial_nodes().len(), 3);
+/// let adversaries = (0..10).filter(|&i| pop.is_adversarial(NodeId(i))).count();
+/// assert_eq!(adversaries, 3);
 /// ```
 #[derive(Debug, Clone)]
 pub struct Population {
@@ -291,26 +293,6 @@ impl Population {
                 .is_some_and(|deadline| self.now >= deadline)
     }
 
-    /// Number of nodes.
-    pub fn len(&self) -> usize {
-        self.classes.len()
-    }
-
-    /// Whether the population is empty.
-    pub fn is_empty(&self) -> bool {
-        self.classes.is_empty()
-    }
-
-    /// Behaviour class of `node`.
-    pub fn class(&self, node: NodeId) -> BehaviorClass {
-        self.classes[node.index()]
-    }
-
-    /// The configuration used to build this population.
-    pub fn config(&self) -> &PopulationConfig {
-        &self.config
-    }
-
     /// Current ground-truth quality of `node` as provider: the probability
     /// an interaction with it succeeds *right now* (traitors degrade after
     /// their switch point).
@@ -333,24 +315,11 @@ impl Population {
         }
     }
 
-    /// Simulates one interaction where `provider` serves `consumer`.
-    pub fn interact(
-        &mut self,
-        provider: NodeId,
-        _consumer: NodeId,
-        rng: &mut SimRng,
-    ) -> InteractionOutcome {
-        let outcome = self.interact_frozen(provider, rng);
-        self.served[provider.index()] += 1;
-        outcome
-    }
-
-    /// [`Population::interact`] against *frozen* state: the outcome draw
-    /// is identical draw-for-draw, but the provider's served counter is
-    /// not advanced. The sharded scenario engine interacts against a
-    /// round-start snapshot and merges the counters afterwards with
-    /// [`Population::note_served`], so outcomes cannot depend on which
-    /// shard executes first.
+    /// Simulates one interaction served by `provider` against *frozen*
+    /// state: the provider's served counter is not advanced. The round
+    /// engine interacts against a round-start snapshot and merges the
+    /// counters afterwards with [`Population::note_served`], so outcomes
+    /// cannot depend on which shard executes first.
     pub fn interact_frozen(&self, provider: NodeId, rng: &mut SimRng) -> InteractionOutcome {
         let q = self.true_quality(provider);
         if rng.gen_bool(q) {
@@ -417,22 +386,6 @@ impl Population {
             at,
         }
     }
-
-    /// Per-node ground-truth qualities (the "reality" a mechanism's
-    /// consistency is judged against).
-    pub fn true_qualities(&self) -> Vec<f64> {
-        (0..self.len())
-            .map(|i| self.true_quality(NodeId::from_index(i)))
-            .collect()
-    }
-
-    /// Indices of currently adversarial nodes.
-    pub fn adversarial_nodes(&self) -> Vec<NodeId> {
-        (0..self.len())
-            .map(NodeId::from_index)
-            .filter(|&n| self.is_adversarial(n))
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -452,7 +405,7 @@ mod tests {
         let pop = Population::new(100, config, &mut rng);
         let count = |label: &str| {
             (0..100)
-                .filter(|&i| pop.class(NodeId(i)).label() == label)
+                .filter(|&i| pop.classes[i].label() == label)
                 .count()
         };
         assert_eq!(count("malicious"), 20);
@@ -464,8 +417,7 @@ mod tests {
     #[test]
     fn honest_nodes_mostly_succeed_malicious_mostly_fail() {
         let mut rng = SimRng::seed_from_u64(1);
-        let pop0 = Population::new(10, PopulationConfig::with_malicious(0.5), &mut rng);
-        let mut pop = pop0;
+        let pop = Population::new(10, PopulationConfig::with_malicious(0.5), &mut rng);
         let mut honest_ok = 0;
         let mut bad_ok = 0;
         let honest: Vec<NodeId> = (0..10)
@@ -477,10 +429,10 @@ mod tests {
             .filter(|&n| pop.is_adversarial(n))
             .collect();
         for _ in 0..200 {
-            if pop.interact(honest[0], NodeId(9), &mut rng).is_success() {
+            if pop.interact_frozen(honest[0], &mut rng).is_success() {
                 honest_ok += 1;
             }
-            if pop.interact(bad[0], NodeId(9), &mut rng).is_success() {
+            if pop.interact_frozen(bad[0], &mut rng).is_success() {
                 bad_ok += 1;
             }
         }
@@ -501,7 +453,8 @@ mod tests {
         assert!(!pop.is_adversarial(t));
         let q_before = pop.true_quality(t);
         for _ in 0..5 {
-            pop.interact(t, t, &mut rng);
+            pop.interact_frozen(t, &mut rng);
+            pop.note_served(t, 1);
         }
         assert!(pop.is_adversarial(t));
         assert!(pop.true_quality(t) < q_before);
@@ -550,13 +503,12 @@ mod tests {
         // particular an adversarial provider (ceiling 0.1) must not
         // report a mean quality above 0.1.
         let mut rng = SimRng::seed_from_u64(12);
-        let mut pop = Population::new(4, PopulationConfig::with_malicious(0.5), &mut rng);
+        let pop = Population::new(4, PopulationConfig::with_malicious(0.5), &mut rng);
         for i in 0..4u32 {
             let node = NodeId(i);
             let ceiling = pop.true_quality(node);
             for _ in 0..300 {
-                if let InteractionOutcome::Success { quality } =
-                    pop.interact(node, NodeId(0), &mut rng)
+                if let InteractionOutcome::Success { quality } = pop.interact_frozen(node, &mut rng)
                 {
                     assert!(
                         (0.0..=ceiling).contains(&quality),
@@ -564,29 +516,6 @@ mod tests {
                     );
                 }
             }
-        }
-    }
-
-    #[test]
-    fn frozen_interact_matches_interact_draw_for_draw() {
-        let mut rng = SimRng::seed_from_u64(13);
-        let mut pop = Population::new(6, PopulationConfig::with_malicious(0.3), &mut rng);
-        let frozen = pop.clone();
-        let mut rng_a = SimRng::seed_from_u64(99);
-        let mut rng_b = SimRng::seed_from_u64(99);
-        for i in 0..6u32 {
-            let a = pop.interact(NodeId(i), NodeId(0), &mut rng_a);
-            let b = frozen.interact_frozen(NodeId(i), &mut rng_b);
-            assert_eq!(a, b);
-            assert_eq!(rng_a.next_u64(), rng_b.next_u64(), "same draw count");
-        }
-        // Merging the counters catches the frozen copy up.
-        let mut merged = frozen;
-        for i in 0..6u32 {
-            merged.note_served(NodeId(i), 1);
-        }
-        for i in 0..6 {
-            assert_eq!(merged.served[i], pop.served[i]);
         }
     }
 
@@ -617,11 +546,11 @@ mod tests {
         let pop = Population::new(8, config, &mut rng);
         let colluders: Vec<NodeId> = (0..8)
             .map(NodeId::from_index)
-            .filter(|&n| matches!(pop.class(n), BehaviorClass::Colluder { .. }))
+            .filter(|&n| matches!(pop.classes[n.index()], BehaviorClass::Colluder { .. }))
             .collect();
         let honest = (0..8)
             .map(NodeId::from_index)
-            .find(|&n| matches!(pop.class(n), BehaviorClass::Honest))
+            .find(|&n| matches!(pop.classes[n.index()], BehaviorClass::Honest))
             .unwrap();
         // Find two colluders in the same ring.
         let (a, b) = colluders
@@ -630,7 +559,7 @@ mod tests {
             .find(|&(a, b)| {
                 a != b
                     && matches!(
-                        (pop.class(a), pop.class(b)),
+                        (pop.classes[a.index()], pop.classes[b.index()]),
                         (BehaviorClass::Colluder { ring: r1 }, BehaviorClass::Colluder { ring: r2 }) if r1 == r2
                     )
             })
@@ -692,18 +621,24 @@ mod tests {
     fn true_qualities_and_adversarial_nodes_consistent() {
         let mut rng = SimRng::seed_from_u64(6);
         let pop = Population::new(50, PopulationConfig::with_malicious(0.4), &mut rng);
-        let qualities = pop.true_qualities();
-        for n in pop.adversarial_nodes() {
-            assert!(qualities[n.index()] <= 0.2);
+        let adversarial: Vec<NodeId> = (0..50)
+            .map(NodeId::from_index)
+            .filter(|&n| pop.is_adversarial(n))
+            .collect();
+        for &n in &adversarial {
+            assert!(pop.true_quality(n) <= 0.2);
         }
-        assert_eq!(pop.adversarial_nodes().len(), 20);
+        assert_eq!(adversarial.len(), 20);
     }
 
     #[test]
     fn deterministic_given_seed() {
         let build = || {
             let mut rng = SimRng::seed_from_u64(7);
-            Population::new(30, PopulationConfig::with_malicious(0.3), &mut rng).true_qualities()
+            let pop = Population::new(30, PopulationConfig::with_malicious(0.3), &mut rng);
+            (0..30)
+                .map(|i| pop.true_quality(NodeId::from_index(i)))
+                .collect::<Vec<f64>>()
         };
         assert_eq!(build(), build());
     }

@@ -50,7 +50,7 @@ use tsn_reputation::{
     build_mechanism, DisclosurePolicy, FeedbackReport, MechanismKind, ReputationMechanism,
 };
 use tsn_simnet::codec::{crc32, ByteReader, ByteWriter};
-use tsn_simnet::{GroupMap, MembershipConfig, NodeId, PartitionWindow, SimDuration, SimTime};
+use tsn_simnet::{GroupMap, NodeId, PartitionWindow, SimDuration, SimTime};
 
 /// Magic bytes opening every checkpoint.
 pub const CHECKPOINT_MAGIC: &[u8; 8] = b"TSNSVCKP";
@@ -58,8 +58,10 @@ pub const CHECKPOINT_MAGIC: &[u8; 8] = b"TSNSVCKP";
 /// Version of the checkpoint layout. Bumped on any layout change;
 /// restore refuses other versions rather than guessing. Version 2
 /// introduced per-section CRCs and the journal cursor; version 3
-/// added the membership-overlay configuration to the config section.
-pub const CHECKPOINT_VERSION: u32 = 3;
+/// added the membership-overlay configuration to the config section;
+/// version 4 dropped it again (the overlay shapes workload generation
+/// and lives in the driver configuration).
+pub const CHECKPOINT_VERSION: u32 = 4;
 
 /// Names of the checkpoint's checksummed sections, in layout order.
 pub const CHECKPOINT_SECTIONS: [&str; 7] = [
@@ -180,15 +182,6 @@ pub struct ServiceConfig {
     /// service does not simulate). Evaluated as a pure function of the
     /// event clock, which is what makes mid-window checkpoints exact.
     pub partitions: Vec<PartitionWindow>,
-    /// Peer-sampling membership overlay of the deployment, if any.
-    /// The service core ingests whatever reaches it unchanged — the
-    /// overlay constrains *workload generation*: a
-    /// [`ServiceDriver`](crate::ServiceDriver) configured from a
-    /// service with an overlay samples interaction partners from each
-    /// node's bounded partial view instead of the global population.
-    /// Carried in checkpoints so a restored deployment keeps its
-    /// overlay shape.
-    pub membership: Option<MembershipConfig>,
 }
 
 impl Default for ServiceConfig {
@@ -199,7 +192,6 @@ impl Default for ServiceConfig {
             epoch: SimDuration::from_secs(60),
             disclosure_level: 4,
             partitions: Vec::new(),
-            membership: None,
         }
     }
 }
@@ -237,12 +229,6 @@ impl ServiceConfig {
                 ));
             }
             last_end = w.end;
-        }
-        if let Some(m) = &self.membership {
-            m.validate()?;
-            if m.relays >= self.nodes {
-                return Err("membership needs more nodes than relays".into());
-            }
         }
         Ok(())
     }
@@ -823,18 +809,6 @@ impl TrustService {
             config.put_f64(window.cross_loss);
             config.put_f64(window.intra_loss);
         }
-        match &self.config.membership {
-            Some(m) => {
-                config.put_u8(1);
-                config.put_u64(m.view_size as u64);
-                config.put_u64(m.shuffle_len as u64);
-                config.put_u64(m.healing as u64);
-                config.put_u64(m.swap as u64);
-                config.put_u64(m.relays as u64);
-                config.put_u64(m.relay_fanout as u64);
-            }
-            None => config.put_u8(0),
-        }
 
         let mut clock = ByteWriter::new();
         clock.put_u64(self.now.as_micros());
@@ -956,23 +930,6 @@ impl TrustService {
                 intra_loss: c.take_f64()?,
             });
         }
-        let membership = match c.take_u8()? {
-            0 => None,
-            1 => Some(MembershipConfig {
-                view_size: c.take_u64()? as usize,
-                shuffle_len: c.take_u64()? as usize,
-                healing: c.take_u64()? as usize,
-                swap: c.take_u64()? as usize,
-                relays: c.take_u64()? as usize,
-                relay_fanout: c.take_u64()? as usize,
-            }),
-            other => {
-                return Err(format!(
-                    "checkpoint section 'config' is corrupt \
-                     (membership flag must be 0 or 1, got {other})"
-                ))
-            }
-        };
         section_drained(&c, "config")?;
         let config = ServiceConfig {
             nodes,
@@ -980,7 +937,6 @@ impl TrustService {
             epoch,
             disclosure_level,
             partitions,
-            membership,
         };
         let mut service = TrustService::new(config)?;
 
@@ -1272,37 +1228,18 @@ mod tests {
         assert!(TrustService::restore(&wrong_magic)
             .unwrap_err()
             .contains("magic"),);
-        let mut wrong_version = bytes;
+        let mut wrong_version = bytes.clone();
         wrong_version[16] = 99; // version u32, after prefix + magic
         assert!(TrustService::restore(&wrong_version)
             .unwrap_err()
             .contains("version"),);
-    }
-
-    #[test]
-    fn checkpoint_carries_the_membership_overlay() {
-        let overlay = MembershipConfig {
-            view_size: 12,
-            shuffle_len: 6,
-            healing: 2,
-            swap: 4,
-            relays: 2,
-            relay_fanout: 5,
-        };
-        let mut service = TrustService::new(ServiceConfig {
-            nodes: 8,
-            epoch: SimDuration::from_secs(10),
-            membership: Some(overlay),
-            ..ServiceConfig::default()
-        })
-        .unwrap();
-        service.ingest(interaction(0, 1, true, 1)).unwrap();
-        let restored = TrustService::restore(&service.checkpoint().unwrap()).unwrap();
-        assert_eq!(restored.config().membership, Some(overlay));
-        // And a membership-free service restores membership-free.
-        let plain = small_service();
-        let restored = TrustService::restore(&plain.checkpoint().unwrap()).unwrap();
-        assert_eq!(restored.config().membership, None);
+        // A version-3 file (which carried the membership overlay) is
+        // refused by name, not misparsed.
+        let mut v3 = bytes;
+        v3[16..20].copy_from_slice(&3u32.to_le_bytes());
+        assert!(TrustService::restore(&v3)
+            .unwrap_err()
+            .contains("unsupported checkpoint version 3"));
     }
 
     #[test]

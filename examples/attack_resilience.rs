@@ -1,18 +1,35 @@
 //! Attack resilience: how each reputation mechanism holds up as the
 //! malicious fraction grows — the classic EigenTrust-style evaluation,
-//! run on the tsn substrate (adversaries lie in feedback and collude).
+//! run on the scenario round engine (adversaries lie in feedback and
+//! collude). Permissive privacy policies keep enforcement out of the
+//! way, so only reputation decides who gets served.
 //!
 //! Run with:
 //! ```text
 //! cargo run --release --example attack_resilience
 //! ```
 
-use tsn::reputation::{
-    testbed::run_testbed, MechanismKind, PopulationConfig, SelectionPolicy, TestbedConfig,
-};
+use tsn::core::runner::ScenarioBuilder;
+use tsn::core::{PolicyProfile, ScenarioOutcome};
+use tsn::reputation::{MechanismKind, PopulationConfig, SelectionPolicy};
+
+/// 100 users, 30 rounds, permissive policies.
+fn base(mechanism: MechanismKind, seed: u64) -> ScenarioBuilder {
+    ScenarioBuilder::new()
+        .nodes(100)
+        .rounds(30)
+        .mechanism(mechanism)
+        .policy_profile(PolicyProfile::Permissive)
+        .seed(seed)
+}
+
+/// Mean per-round success rate over the run.
+fn success(outcome: &ScenarioOutcome) -> f64 {
+    outcome.samples.iter().map(|r| r.success_rate).sum::<f64>() / outcome.samples.len() as f64
+}
 
 fn main() {
-    println!("honest-consumer success rate vs malicious fraction");
+    println!("consumer success rate vs malicious fraction");
     println!("(100 users, 30 rounds, proportional selection; higher is better)\n");
     print!("{:<12}", "mechanism");
     let fractions = [0.0, 0.1, 0.2, 0.3, 0.4, 0.5];
@@ -27,22 +44,16 @@ fn main() {
             // Average three seeds so single runs don't mislead.
             let mut total = 0.0;
             for seed in 0..3 {
-                let config = TestbedConfig {
-                    nodes: 100,
-                    rounds: 30,
-                    population: PopulationConfig::with_malicious(malicious),
-                    mechanism,
-                    selection: if mechanism == MechanismKind::None {
+                let outcome = base(mechanism, 1000 + seed)
+                    .malicious_fraction(malicious)
+                    .selection(if mechanism == MechanismKind::None {
                         SelectionPolicy::Random
                     } else {
                         SelectionPolicy::Proportional { sharpness: 2.0 }
-                    },
-                    seed: 1000 + seed,
-                    ..Default::default()
-                };
-                total += run_testbed(config)
-                    .expect("valid config")
-                    .honest_success_rate;
+                    })
+                    .run()
+                    .expect("valid configuration");
+                total += success(&outcome);
             }
             print!("  {:>6.3}", total / 3.0);
         }
@@ -55,26 +66,21 @@ fn main() {
         MechanismKind::EigenTrust,
         MechanismKind::TrustMe,
     ] {
-        let config = TestbedConfig {
-            nodes: 100,
-            rounds: 30,
-            population: PopulationConfig {
+        let outcome = base(mechanism, 99)
+            .population(PopulationConfig {
                 colluder: 0.3,
                 ring_size: 5,
                 ..Default::default()
-            },
-            mechanism,
-            pretrusted: 5,
-            seed: 99,
-            ..Default::default()
-        };
-        let summary = run_testbed(config).expect("valid config");
+            })
+            .pretrusted(5)
+            .run()
+            .expect("valid configuration");
         println!(
-            "  {:<11} honest-success {:.3}  consistency {:.3}  adversary-detection {:.3}",
+            "  {:<11} success {:.3}  consistency {:.3}  adversary-detection {:.3}",
             mechanism.name(),
-            summary.honest_success_rate,
-            summary.power.consistency,
-            summary.power.reliability
+            success(&outcome),
+            outcome.power.consistency,
+            outcome.power.reliability
         );
     }
 }

@@ -19,6 +19,9 @@
 //! tsn-cli replay   --from-checkpoint --journal-dir DIR [--epochs E]
 //!                  [--verify] [--json]
 //! ```
+//!
+//! Flags are strict: an unknown, repeated or valueless flag exits 1
+//! with an error naming the flag.
 
 use std::process::ExitCode;
 use tsn::core::dynamics::{DynamicsConfig, DynamicsState, InteractionDynamics};
@@ -124,22 +127,86 @@ replay flags:
     );
 }
 
-/// Minimal flag parser: `--key value` pairs plus boolean `--flag`s.
+/// The flags one subcommand accepts, as space-separated names:
+/// `values` take an argument, `switches` do not.
+struct FlagSpec {
+    values: &'static str,
+    switches: &'static str,
+}
+
+const SCENARIO_FLAGS: FlagSpec = FlagSpec {
+    values: "--nodes --rounds --seed --churn --malicious --disclosure --mechanism --policies \
+             --progress --view-size --relays",
+    switches: "--adaptive --json --peer-sampling",
+};
+
+const SWEEP_FLAGS: FlagSpec = FlagSpec {
+    values: "--nodes --rounds --seed --seeds --threads",
+    switches: "--csv --json",
+};
+
+const DYNAMICS_FLAGS: FlagSpec = FlagSpec {
+    values: "--honest --eta",
+    switches: "",
+};
+
+const SERVE_FLAGS: FlagSpec = FlagSpec {
+    values: "--nodes --epochs --epoch-secs --seed --mechanism --disclosure --malicious \
+             --arrivals --disclosures --queries --checkpoint --crash-at --down-secs --grace \
+             --replicas --kill-primary-at --journal-dir --view-size --relays",
+    switches: "--journal --json --peer-sampling",
+};
+
+const REPLAY_FLAGS: FlagSpec = FlagSpec {
+    values: "--checkpoint --fallback --journal-dir --epochs --nodes --epoch-secs --seed \
+             --mechanism --disclosure --malicious --arrivals --disclosures --queries \
+             --view-size --relays",
+    switches: "--from-checkpoint --verify --json --peer-sampling",
+};
+
+/// Strictly parsed flags: `--key value` pairs plus boolean `--flag`s.
 struct Flags<'a> {
-    args: &'a [String],
+    values: Vec<(&'a str, &'a str)>,
+    switches: Vec<&'a str>,
 }
 
 impl<'a> Flags<'a> {
+    /// Parses `args` against `spec`. An unknown, repeated or valueless
+    /// flag is an error naming the flag; a value that starts with `--`
+    /// counts as missing.
+    fn new(args: &'a [String], spec: &FlagSpec) -> Result<Self, String> {
+        let mut flags = Flags {
+            values: Vec::new(),
+            switches: Vec::new(),
+        };
+        let mut args = args.iter().map(String::as_str);
+        while let Some(arg) = args.next() {
+            if flags.get(arg).is_some() || flags.has(arg) {
+                return Err(format!("flag {arg} given more than once"));
+            }
+            if spec.switches.split_whitespace().any(|f| f == arg) {
+                flags.switches.push(arg);
+            } else if spec.values.split_whitespace().any(|f| f == arg) {
+                match args.next() {
+                    Some(value) if !value.starts_with("--") => flags.values.push((arg, value)),
+                    _ => return Err(format!("flag {arg} needs a value")),
+                }
+            } else {
+                return Err(format!("unknown flag '{arg}' (see tsn-cli --help)"));
+            }
+        }
+        Ok(flags)
+    }
+
     fn get(&self, key: &str) -> Option<&'a str> {
-        self.args
+        self.values
             .iter()
-            .position(|a| a == key)
-            .and_then(|i| self.args.get(i + 1))
-            .map(String::as_str)
+            .find(|(k, _)| *k == key)
+            .map(|&(_, value)| value)
     }
 
     fn has(&self, key: &str) -> bool {
-        self.args.iter().any(|a| a == key)
+        self.switches.contains(&key)
     }
 
     fn parse<T: std::str::FromStr>(&self, key: &str, default: T) -> Result<T, String> {
@@ -223,7 +290,7 @@ fn membership_flags(flags: &Flags) -> Result<Option<MembershipConfig>, String> {
 }
 
 fn cmd_scenario(args: &[String]) -> Result<(), String> {
-    let flags = Flags { args };
+    let flags = Flags::new(args, &SCENARIO_FLAGS)?;
     let builder = scenario_builder(&flags)?;
     let config = builder.clone().build().map_err(|e| e.to_string())?;
     let outcome = if let Some(every) = flags.get("--progress") {
@@ -288,7 +355,7 @@ fn cmd_scenario(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_sweep(args: &[String]) -> Result<(), String> {
-    let flags = Flags { args };
+    let flags = Flags::new(args, &SWEEP_FLAGS)?;
     let nodes: usize = flags.parse("--nodes", 48)?;
     let seed: u64 = flags.parse("--seed", 42)?;
     let seeds_per_point: u64 = flags.parse("--seeds", 1)?;
@@ -363,6 +430,23 @@ fn cmd_sweep(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
+/// Shared by `serve` and `replay --from-checkpoint`: the service
+/// configuration flags.
+fn service_config(flags: &Flags) -> Result<ServiceConfig, String> {
+    let mut config = ServiceConfig {
+        nodes: flags.parse("--nodes", 100)?,
+        epoch: SimDuration::from_secs(flags.parse("--epoch-secs", 60)?),
+        ..ServiceConfig::default()
+    };
+    if let Some(raw) = flags.get("--mechanism") {
+        config.mechanism = parse_mechanism(raw)?;
+    }
+    if let Some(raw) = flags.get("--disclosure") {
+        config.disclosure_level = parse_disclosure(raw)?.index();
+    }
+    Ok(config)
+}
+
 /// Shared by `serve` and `replay`: the driver workload flags.
 fn driver_config(flags: &Flags, nodes: usize) -> Result<DriverConfig, String> {
     let defaults = DriverConfig::default();
@@ -418,25 +502,10 @@ fn service_summary(service: &TrustService, json: bool) {
 }
 
 fn cmd_serve(args: &[String]) -> Result<(), String> {
-    let flags = Flags { args };
-    let nodes: usize = flags.parse("--nodes", 100)?;
+    let flags = Flags::new(args, &SERVE_FLAGS)?;
     let epochs: u64 = flags.parse("--epochs", 10)?;
-    let epoch_secs: u64 = flags.parse("--epoch-secs", 60)?;
-    let mut config = ServiceConfig {
-        nodes,
-        epoch: SimDuration::from_secs(epoch_secs),
-        ..ServiceConfig::default()
-    };
-    if let Some(raw) = flags.get("--mechanism") {
-        config.mechanism = parse_mechanism(raw)?;
-    }
-    if let Some(raw) = flags.get("--disclosure") {
-        config.disclosure_level = parse_disclosure(raw)?.index();
-    }
-    // The overlay rides in the service config too, so checkpoints
-    // written by this run carry it (checkpoint config section v3).
-    config.membership = membership_flags(&flags)?;
-    let driver = ServiceDriver::new(driver_config(&flags, nodes)?)?;
+    let config = service_config(&flags)?;
+    let driver = ServiceDriver::new(driver_config(&flags, config.nodes)?)?;
     let replicas: usize = flags.parse("--replicas", 1usize)?;
     if replicas > 1 || flags.get("--kill-primary-at").is_some() {
         return serve_replicated(&flags, config, &driver, epochs, replicas.max(2));
@@ -620,7 +689,7 @@ fn write_checkpoint_flag(flags: &Flags, service: &TrustService) -> Result<(), St
 }
 
 fn cmd_replay(args: &[String]) -> Result<(), String> {
-    let flags = Flags { args };
+    let flags = Flags::new(args, &REPLAY_FLAGS)?;
     if flags.has("--from-checkpoint") {
         return replay_from_storage(&flags);
     }
@@ -730,20 +799,8 @@ fn replay_from_storage(flags: &Flags) -> Result<(), String> {
     }
     // The storage carries no service config; rebuild it from the same
     // flags the serve run used.
-    let nodes: usize = flags.parse("--nodes", 100)?;
-    let mut config = ServiceConfig {
-        nodes,
-        epoch: SimDuration::from_secs(flags.parse("--epoch-secs", 60u64)?),
-        ..ServiceConfig::default()
-    };
-    if let Some(raw) = flags.get("--mechanism") {
-        config.mechanism = parse_mechanism(raw)?;
-    }
-    if let Some(raw) = flags.get("--disclosure") {
-        config.disclosure_level = parse_disclosure(raw)?.index();
-    }
     let host_config = HostConfig {
-        service: config,
+        service: service_config(flags)?,
         recovery_grace: SimDuration::ZERO,
         ..HostConfig::default()
     };
@@ -817,7 +874,7 @@ fn replay_from_storage(flags: &Flags) -> Result<(), String> {
 }
 
 fn cmd_dynamics(args: &[String]) -> Result<(), String> {
-    let flags = Flags { args };
+    let flags = Flags::new(args, &DYNAMICS_FLAGS)?;
     let mut config = DynamicsConfig::default();
     config.honest_fraction = flags.parse("--honest", config.honest_fraction)?;
     config.eta = flags.parse("--eta", config.eta)?;

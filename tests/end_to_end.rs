@@ -1,9 +1,9 @@
 //! Cross-crate integration: the full pipeline from substrates to trust.
 
-use tsn::core::runner::ScenarioBuilder;
-use tsn::core::{Optimizer, TrustMetric};
+use tsn::core::runner::{DisclosureLevel, ScenarioBuilder};
+use tsn::core::{Optimizer, PolicyProfile, ScenarioOutcome, TrustMetric};
 use tsn::graph::{generators, metrics};
-use tsn::reputation::{testbed::run_testbed, MechanismKind, PopulationConfig, TestbedConfig};
+use tsn::reputation::{AnonymizationConfig, MechanismKind, SelectionPolicy};
 use tsn::simnet::SimRng;
 
 fn small(seed: u64) -> ScenarioBuilder {
@@ -39,25 +39,82 @@ fn scenario_outcome_is_fully_reproducible() {
 }
 
 #[test]
-fn testbed_and_scenario_agree_on_mechanism_quality() {
-    // Both drivers should agree that reputation helps under attack.
-    let testbed = run_testbed(TestbedConfig {
-        nodes: 60,
-        rounds: 20,
-        population: PopulationConfig::with_malicious(0.3),
-        mechanism: MechanismKind::Beta,
-        seed: 4,
-        ..Default::default()
-    })
-    .unwrap();
-    assert!(testbed.power.consistency > 0.6);
-
+fn scenario_measures_mechanism_quality() {
     let scenario = small(4)
         .mechanism(MechanismKind::Beta)
         .malicious_fraction(0.3)
         .run()
         .unwrap();
     assert!(scenario.facets.reputation > 0.5);
+    assert!(
+        scenario.power.consistency > 0.6,
+        "consistency {}",
+        scenario.power.consistency
+    );
+}
+
+/// Mean per-round success rate of one run.
+fn mean_success(outcome: &ScenarioOutcome) -> f64 {
+    outcome.samples.iter().map(|s| s.success_rate).sum::<f64>() / outcome.samples.len() as f64
+}
+
+/// The attack economy of the reputation tests: 60 users, 25 rounds,
+/// permissive policies so that only reputation decides who is served.
+fn under_attack(malicious: f64, seed: u64) -> ScenarioBuilder {
+    ScenarioBuilder::new()
+        .nodes(60)
+        .rounds(25)
+        .malicious_fraction(malicious)
+        .policy_profile(PolicyProfile::Permissive)
+        .seed(seed)
+}
+
+#[test]
+fn reputation_beats_no_reputation_under_attack() {
+    // Averaged over seeds so one lucky random-selection run cannot
+    // decide the comparison.
+    let mean = |mechanism: MechanismKind, selection: SelectionPolicy| {
+        (0..3)
+            .map(|seed| {
+                let outcome = under_attack(0.4, 100 + seed)
+                    .mechanism(mechanism)
+                    .selection(selection)
+                    .run()
+                    .unwrap();
+                mean_success(&outcome)
+            })
+            .sum::<f64>()
+            / 3.0
+    };
+    let with = mean(
+        MechanismKind::EigenTrust,
+        SelectionPolicy::Proportional { sharpness: 2.0 },
+    );
+    let without = mean(MechanismKind::None, SelectionPolicy::Random);
+    assert!(with > without + 0.03, "eigentrust {with} vs none {without}");
+    // Without adversaries the economy mostly succeeds.
+    let honest = under_attack(0.0, 1).mechanism(MechanismKind::Beta);
+    let honest = mean_success(&honest.run().unwrap());
+    assert!(honest > 0.8, "all-honest success {honest}");
+}
+
+#[test]
+fn anonymization_lowers_consistency() {
+    let beta = under_attack(0.3, 4).mechanism(MechanismKind::Beta);
+    let clean = beta.clone().run().unwrap().power.consistency;
+    let anonymized = beta
+        .anonymization(AnonymizationConfig {
+            strip_probability: 1.0,
+            flip_probability: 0.3,
+        })
+        .run()
+        .unwrap()
+        .power
+        .consistency;
+    assert!(
+        clean > anonymized,
+        "clean {clean} vs anonymized {anonymized}"
+    );
 }
 
 #[test]
@@ -75,7 +132,7 @@ fn optimizer_finds_trust_improving_settings() {
     // The optimum must be at least as good as the base point itself.
     let base_point = optimizer.evaluate(
         base.mechanism,
-        base.disclosure_level,
+        DisclosureLevel::from_index(base.disclosure_level).unwrap(),
         base.policy_profile,
         base.selection,
     );
