@@ -24,8 +24,8 @@
 use crate::host::{ProtocolCosts, RoundDriver};
 use tsn_graph::Graph;
 use tsn_simnet::{
-    DynamicsEvent, DynamicsPlan, DynamicsRuntime, Envelope, MembershipConfig, MembershipRuntime,
-    Network, NodeId, Payload, SimDuration, SimRng, Tag,
+    DynamicsEvent, DynamicsPlan, DynamicsRuntime, Envelope, Network, NodeId, Payload, SimDuration,
+    SimRng, Tag,
 };
 
 /// The push-sum message tag.
@@ -38,14 +38,6 @@ pub struct GossipConfig {
     pub subjects: usize,
     /// Length of one gossip round.
     pub round_length: SimDuration,
-    /// When `true`, the random push target is drawn only from *alive*
-    /// neighbours, so no mass is pushed at crashed peers. Default
-    /// `false`: nodes do not know who crashed, the draw covers every
-    /// neighbour and a push to a dead peer dead-letters — a bounded
-    /// mass leak that the crash tests quantify. (The default also
-    /// preserves the pre-flag RNG draw sequence, keeping the golden
-    /// fixtures bit-identical.)
-    pub skip_dead_neighbors: bool,
 }
 
 impl Default for GossipConfig {
@@ -53,7 +45,6 @@ impl Default for GossipConfig {
         GossipConfig {
             subjects: 0,
             round_length: SimDuration::from_millis(100),
-            skip_dead_neighbors: false,
         }
     }
 }
@@ -85,13 +76,6 @@ pub struct GossipNetwork {
     state: Vec<f64>,
     /// Ground-truth totals (for oracle comparison): (sum, count).
     truth: Vec<(f64, f64)>,
-    /// Scratch for the alive-neighbour filter (only used when
-    /// `skip_dead_neighbors` is on).
-    alive_scratch: Vec<NodeId>,
-    /// Peer-sampling overlay; when attached, push targets come from
-    /// each node's bounded partial view instead of the graph
-    /// neighborhood.
-    membership: Option<MembershipRuntime>,
 }
 
 impl GossipNetwork {
@@ -115,8 +99,6 @@ impl GossipNetwork {
             weight: vec![1.0; n],
             state: vec![0.0; n * 2 * config.subjects],
             truth: vec![(0.0, 0.0); config.subjects],
-            alive_scratch: Vec::new(),
-            membership: None,
             config,
         }
     }
@@ -162,31 +144,6 @@ impl GossipNetwork {
         self.driver.dynamics()
     }
 
-    /// Attaches the peer-sampling membership overlay: each node keeps
-    /// a bounded partial view refreshed by one shuffle per gossip
-    /// round, and push targets are drawn from the view instead of the
-    /// full graph neighborhood. The overlay runs on its own RNG
-    /// stream (derived from `seed`), so attaching it never shifts the
-    /// push-target draw sequence of membership-off runs.
-    ///
-    /// # Errors
-    ///
-    /// Returns the config's validation error, or an error when the
-    /// population is too small for the relay count.
-    pub fn attach_membership(&mut self, config: MembershipConfig, seed: u64) -> Result<(), String> {
-        self.membership = Some(MembershipRuntime::new(
-            self.graph.node_count(),
-            config,
-            seed,
-        )?);
-        Ok(())
-    }
-
-    /// The attached membership overlay, if any.
-    pub fn membership(&self) -> Option<&MembershipRuntime> {
-        self.membership.as_ref()
-    }
-
     /// Executes one push-sum round.
     pub fn round(&mut self) {
         let GossipNetwork {
@@ -196,22 +153,11 @@ impl GossipNetwork {
             weight,
             state,
             config,
-            alive_scratch,
-            membership,
             ..
         } = self;
         let subjects = config.subjects;
         let stride = 2 * subjects;
-        let skip_dead = config.skip_dead_neighbors;
-        // One view shuffle per gossip round, against current liveness
-        // (no partition model at this layer — the network's loss model
-        // handles partitions in transit).
-        if let Some(m) = membership.as_mut() {
-            let network = driver.network();
-            m.shuffle_round(|p| network.is_alive(p), |_, _| true);
-        }
-        let membership = membership.as_ref();
-        driver.round(|node, inbox, network, out| {
+        driver.round(|node, inbox, _, out| {
             let i = node.index();
             let row = &mut state[i * stride..(i + 1) * stride];
             // Absorb incoming halves straight from the borrowed fields:
@@ -227,34 +173,11 @@ impl GossipNetwork {
                     *dst += *src;
                 }
             }
-            // Halve and push to one random neighbour (all of them by
-            // default — dead targets dead-letter; see `GossipConfig`).
-            // With the membership overlay attached the draw covers the
-            // node's bounded partial view instead of the graph.
-            let target = match membership {
-                Some(m) => {
-                    let view = m.view(node);
-                    if skip_dead {
-                        alive_scratch.clear();
-                        alive_scratch.extend(view.peers().filter(|&p| network.is_alive(p)));
-                        rng.choose(alive_scratch).copied()
-                    } else {
-                        view.sample(rng)
-                    }
-                }
-                None => {
-                    let neighbors = graph.neighbors(node);
-                    if skip_dead {
-                        alive_scratch.clear();
-                        alive_scratch
-                            .extend(neighbors.iter().copied().filter(|&p| network.is_alive(p)));
-                        rng.choose(alive_scratch).copied()
-                    } else {
-                        rng.choose(neighbors).copied()
-                    }
-                }
-            };
-            let Some(target) = target else {
+            // Halve and push to one random neighbour. Nodes do not know
+            // who crashed: the draw covers every neighbour, and a push
+            // to a dead peer dead-letters — a bounded mass leak that the
+            // crash tests quantify.
+            let Some(&target) = rng.choose(graph.neighbors(node)) else {
                 return;
             };
             weight[i] /= 2.0;
@@ -370,10 +293,6 @@ mod tests {
     use tsn_simnet::{latency::ConstantLatency, BernoulliLoss, NetworkConfig, NoLoss};
 
     fn build(n: usize, loss: f64, seed: u64) -> GossipNetwork {
-        build_with(n, loss, seed, GossipConfig::default())
-    }
-
-    fn build_with(n: usize, loss: f64, seed: u64, template: GossipConfig) -> GossipNetwork {
         let mut rng = SimRng::seed_from_u64(seed);
         let graph = generators::watts_strogatz(n, 6, 0.1, &mut rng).unwrap();
         let config = NetworkConfig {
@@ -390,7 +309,7 @@ mod tests {
         }
         let gossip_config = GossipConfig {
             subjects: n,
-            ..template
+            ..GossipConfig::default()
         };
         GossipNetwork::new(graph, network, gossip_config, rng.fork(2))
     }
@@ -404,40 +323,6 @@ mod tests {
             let value = if subject.is_multiple_of(2) { 0.9 } else { 0.2 };
             g.observe(observer, subject, value);
         }
-    }
-
-    #[test]
-    fn membership_overlay_still_converges() {
-        let n = 30;
-        let mut g = build(n, 0.0, 9);
-        g.attach_membership(MembershipConfig::default(), 0xFACE)
-            .expect("valid overlay");
-        seed_observations(&mut g, n, 2);
-        let before = g.report();
-        g.run(40);
-        let after = g.report();
-        // View-constrained targets reach the whole population through
-        // shuffling, so push-sum still converges.
-        assert!(
-            after.mean_error < before.mean_error / 3.0,
-            "{before:?} -> {after:?}"
-        );
-        assert!(g.membership().expect("attached").rounds() >= 40);
-    }
-
-    #[test]
-    fn membership_overlay_is_deterministic() {
-        let run = || {
-            let n = 20;
-            let mut g = build(n, 0.0, 11);
-            g.attach_membership(MembershipConfig::default(), 13)
-                .expect("valid overlay");
-            seed_observations(&mut g, n, 3);
-            g.run(15);
-            let report = g.report();
-            (report.mean_error, report.max_error, report.costs.messages)
-        };
-        assert_eq!(run(), run());
     }
 
     #[test]
@@ -525,41 +410,20 @@ mod tests {
     }
 
     #[test]
-    fn skipping_dead_neighbors_avoids_dead_letters() {
+    fn pushes_at_crashed_neighbors_dead_letter() {
         let n = 30;
-        let run = |skip: bool| {
-            let mut g = build_with(
-                n,
-                0.0,
-                21,
-                GossipConfig {
-                    skip_dead_neighbors: skip,
-                    ..Default::default()
-                },
-            );
-            seed_observations(&mut g, n, 22);
-            // Crash a fifth of the network before any traffic flows, so
-            // every dead-letter is attributable to target selection.
-            for dead in 0..6u32 {
-                g.network_mut().set_alive(NodeId(dead), false);
-            }
-            g.run(20);
-            (
-                g.driver.network().stats().dead_letter.value(),
-                g.report().mean_error,
-            )
-        };
-        let (dead_letters_default, _) = run(false);
-        let (dead_letters_skipping, error_skipping) = run(true);
+        let mut g = build(n, 0.0, 21);
+        seed_observations(&mut g, n, 22);
+        // Crash a fifth of the network before any traffic flows, so
+        // every dead-letter is attributable to target selection.
+        for dead in 0..6u32 {
+            g.network_mut().set_alive(NodeId(dead), false);
+        }
+        g.run(20);
         assert!(
-            dead_letters_default > 0,
-            "the default draw hits crashed peers"
+            g.driver.network().stats().dead_letter.value() > 0,
+            "the neighbour draw hits crashed peers"
         );
-        assert_eq!(
-            dead_letters_skipping, 0,
-            "liveness-filtered draws never dead-letter"
-        );
-        assert!(error_skipping < 0.15, "still converges: {error_skipping}");
     }
 
     #[test]

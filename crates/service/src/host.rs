@@ -349,9 +349,7 @@ impl ServiceHost {
     }
 
     /// Attaches a fault injector: its process faults crash this host on
-    /// schedule, its storage faults corrupt checkpoint writes. (Message
-    /// faults are the network's job —
-    /// [`Network::attach_faults`](tsn_simnet::Network::attach_faults).)
+    /// schedule, its storage faults corrupt checkpoint writes.
     pub fn attach_faults(&mut self, injector: FaultInjector) {
         self.attach_faults_for(injector, FaultTarget::Service);
     }

@@ -60,18 +60,15 @@ pub enum StreamDomain {
     /// Per-(epoch, node) op streams of the service driver. Low bits:
     /// `(epoch << 32) | node`.
     ServiceOp,
-    /// Per-epoch interaction-quality streams of the service driver.
-    /// Low bits: `epoch`.
+    /// Per-node provider-quality streams of the service driver. Low
+    /// bits: `node`.
     ServiceQuality,
     /// Per-(op, attempt) retry-backoff jitter of the service client.
     /// Low bits: `(op_id << 8) | (attempt & 0xff)`.
     ServiceRetry,
-    /// Per-subject message-fault verdict streams of the fault
-    /// injector. Low bits: XORed subject id (historical layout: the
-    /// tag is XORed, not ORed, with the id).
-    FaultMessage,
-    /// Per-subject storage-fault streams of the fault injector. Low
-    /// bits: XORed subject id.
+    /// Per-checkpoint storage-fault streams of the fault injector. Low
+    /// bits: the caller's label, XORed (historical layout: the tag is
+    /// XORed, not ORed, with the label).
     FaultStorage,
     /// Per-round view-shuffle streams of the membership overlay. Low
     /// bits: `round`.
@@ -83,13 +80,12 @@ pub enum StreamDomain {
 
 impl StreamDomain {
     /// Every registered domain, for exhaustive collision checks.
-    pub const ALL: [StreamDomain; 9] = [
+    pub const ALL: [StreamDomain; 8] = [
         StreamDomain::Interaction,
         StreamDomain::ScenarioOffline,
         StreamDomain::ServiceOp,
         StreamDomain::ServiceQuality,
         StreamDomain::ServiceRetry,
-        StreamDomain::FaultMessage,
         StreamDomain::FaultStorage,
         StreamDomain::MembershipShuffle,
         StreamDomain::MembershipBootstrap,
@@ -102,7 +98,7 @@ impl StreamDomain {
             StreamDomain::ServiceOp | StreamDomain::ServiceQuality | StreamDomain::ServiceRetry => {
                 StreamFamily::Service
             }
-            StreamDomain::FaultMessage | StreamDomain::FaultStorage => StreamFamily::Fault,
+            StreamDomain::FaultStorage => StreamFamily::Fault,
             StreamDomain::MembershipShuffle | StreamDomain::MembershipBootstrap => {
                 StreamFamily::Membership
             }
@@ -119,7 +115,6 @@ impl StreamDomain {
             StreamDomain::ScenarioOffline => 1 << 62,
             StreamDomain::ServiceQuality => 1 << 61,
             StreamDomain::ServiceRetry => 1 << 62,
-            StreamDomain::FaultMessage => 0x7A00_0000_0000_0000,
             StreamDomain::FaultStorage => 0x7B00_0000_0000_0000,
             StreamDomain::MembershipShuffle => 0x7C00_0000_0000_0000,
             StreamDomain::MembershipBootstrap => 0x7D00_0000_0000_0000,
@@ -179,7 +174,6 @@ mod tests {
         assert_eq!(StreamDomain::ScenarioOffline.tag(), 1 << 62);
         assert_eq!(StreamDomain::ServiceQuality.tag(), 1 << 61);
         assert_eq!(StreamDomain::ServiceRetry.tag(), 1 << 62);
-        assert_eq!(StreamDomain::FaultMessage.tag(), 0x7A00_0000_0000_0000);
         assert_eq!(StreamDomain::FaultStorage.tag(), 0x7B00_0000_0000_0000);
     }
 

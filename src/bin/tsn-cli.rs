@@ -21,7 +21,9 @@
 //! ```
 //!
 //! Flags are strict: an unknown, repeated or valueless flag exits 1
-//! with an error naming the flag.
+//! with an error naming the flag, and so does a count the command
+//! cannot honour (`--threads 0`, `--progress 0`, `--replicas 0`, or
+//! `--kill-primary-at` with fewer than two replicas).
 
 use std::process::ExitCode;
 use tsn::core::dynamics::{DynamicsConfig, DynamicsState, InteractionDynamics};
@@ -82,7 +84,7 @@ scenario flags:
   --mechanism none|beta|eigentrust|powertrust|trustme
   --disclosure 0..4   --malicious 0.0..1.0
   --policies permissive|mixed|strict   --churn 0.0..1.0   --adaptive
-  --progress K   print a progress line every K rounds
+  --progress K   print a progress line every K rounds (K >= 1)
 peer-sampling flags (scenario + serve):
   --peer-sampling   draw partners from bounded partial views kept fresh
                     by view shuffling instead of the global population
@@ -90,7 +92,7 @@ peer-sampling flags (scenario + serve):
   --relays N        bootstrap relay nodes (default 3); implies the overlay
 sweep flags:
   --seeds K    Monte-Carlo seeds per grid point (default 1)
-  --threads T  worker threads (default: all cores)
+  --threads T  worker threads, at least 1 (default: all cores)
   --csv        emit the full report as CSV
 dynamics flags:
   --honest 0.0..1.0   --eta 0.0..1.0
@@ -110,6 +112,7 @@ serve flags:
                     sequencer (implies --journal; failover on crash)
   --kill-primary-at S  crash replica 0 (the initial primary) at
                     sim-second S; the healthiest follower is promoted
+                    (runs 2 replicas unless --replicas says otherwise)
   --journal-dir D   persist the (primary's) segmented journal +
                     checkpoint ring to directory D at the end
 replay flags:
@@ -217,6 +220,19 @@ impl<'a> Flags<'a> {
                 .map_err(|_| format!("invalid value '{raw}' for {key}")),
         }
     }
+
+    /// Like [`Flags::parse`] for counts: zero is an error naming the
+    /// flag, never a silent stand-in for some other value.
+    fn parse_count<T>(&self, key: &str, default: T) -> Result<T, String>
+    where
+        T: std::str::FromStr + Default + PartialEq,
+    {
+        let value = self.parse(key, default)?;
+        if value == T::default() {
+            return Err(format!("{key} must be at least 1"));
+        }
+        Ok(value)
+    }
 }
 
 fn parse_mechanism(raw: &str) -> Result<MechanismKind, String> {
@@ -293,9 +309,8 @@ fn cmd_scenario(args: &[String]) -> Result<(), String> {
     let flags = Flags::new(args, &SCENARIO_FLAGS)?;
     let builder = scenario_builder(&flags)?;
     let config = builder.clone().build().map_err(|e| e.to_string())?;
-    let outcome = if let Some(every) = flags.get("--progress") {
-        let every: usize = every.parse().map_err(|_| "invalid value for --progress")?;
-        let mut progress = ProgressPrinter::every(every);
+    let outcome = if flags.get("--progress").is_some() {
+        let mut progress = ProgressPrinter::every(flags.parse_count("--progress", 1)?);
         builder.run_observed(&mut [&mut progress])
     } else {
         builder.run()
@@ -358,10 +373,7 @@ fn cmd_sweep(args: &[String]) -> Result<(), String> {
     let flags = Flags::new(args, &SWEEP_FLAGS)?;
     let nodes: usize = flags.parse("--nodes", 48)?;
     let seed: u64 = flags.parse("--seed", 42)?;
-    let seeds_per_point: u64 = flags.parse("--seeds", 1)?;
-    if seeds_per_point == 0 {
-        return Err("--seeds must be at least 1".into());
-    }
+    let seeds_per_point: u64 = flags.parse_count("--seeds", 1)?;
     let degree = 8usize.min(nodes.saturating_sub(2)) & !1;
     let base = ScenarioBuilder::new()
         .nodes(nodes)
@@ -375,10 +387,7 @@ fn cmd_sweep(args: &[String]) -> Result<(), String> {
         .seeds((0..seeds_per_point).map(|i| seed.wrapping_add(i * 7919)));
 
     let runner = match flags.get("--threads") {
-        Some(raw) => {
-            let t: usize = raw.parse().map_err(|_| "invalid value for --threads")?;
-            SweepRunner::with_threads(t)
-        }
+        Some(_) => SweepRunner::with_threads(flags.parse_count("--threads", 1)?),
         None => SweepRunner::parallel(),
     };
     eprintln!(
@@ -506,9 +515,17 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     let epochs: u64 = flags.parse("--epochs", 10)?;
     let config = service_config(&flags)?;
     let driver = ServiceDriver::new(driver_config(&flags, config.nodes)?)?;
-    let replicas: usize = flags.parse("--replicas", 1usize)?;
-    if replicas > 1 || flags.get("--kill-primary-at").is_some() {
-        return serve_replicated(&flags, config, &driver, epochs, replicas.max(2));
+    // A primary kill needs a follower to promote: alone it runs the
+    // smallest set that can fail over.
+    let killing = flags.get("--kill-primary-at").is_some();
+    let replicas: usize = flags.parse_count("--replicas", if killing { 2 } else { 1 })?;
+    if killing && replicas < 2 {
+        return Err(
+            "--kill-primary-at needs --replicas of at least 2 (a follower to promote)".into(),
+        );
+    }
+    if replicas > 1 {
+        return serve_replicated(&flags, config, &driver, epochs, replicas);
     }
     let hosted = flags.has("--journal")
         || flags.get("--crash-at").is_some()

@@ -56,6 +56,24 @@ fn valueless_flag_is_an_error() {
 }
 
 #[test]
+fn counts_the_command_cannot_honour_are_errors() {
+    rejects("sweep --nodes 12 --rounds 1 --threads 0", "--threads");
+    rejects("scenario --nodes 12 --rounds 2 --progress 0", "--progress");
+    rejects("serve --nodes 20 --epochs 1 --replicas 0", "--replicas");
+    // Killing the primary needs a follower to promote.
+    rejects(
+        "serve --nodes 20 --epochs 1 --replicas 1 --kill-primary-at 30",
+        "--kill-primary-at",
+    );
+}
+
+#[test]
+fn kill_primary_alone_runs_two_replicas() {
+    let (_, err) = accepts("serve --nodes 20 --epochs 2 --seed 3 --kill-primary-at 30");
+    assert!(err.contains("replica set: 2 members"), "{err}");
+}
+
+#[test]
 fn every_subcommand_accepts_its_flags() {
     let (out, _) = accepts("scenario --nodes 12 --rounds 2 --json");
     assert!(out.contains("\"global_trust\""), "{out}");
