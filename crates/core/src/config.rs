@@ -9,7 +9,7 @@ use crate::runner::ValidationError;
 use tsn_reputation::{
     AnonymizationConfig, DisclosurePolicy, MechanismKind, PopulationConfig, SelectionPolicy,
 };
-use tsn_simnet::{DynamicsPlan, MembershipConfig};
+use tsn_simnet::{DynamicsPlan, MembershipConfig, MAX_NODES};
 
 /// How strict the users' privacy policies are.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -49,6 +49,10 @@ impl PolicyProfile {
         }
     }
 }
+
+/// The most rounds a scenario may run: the outcome keeps one sample per
+/// round, so the bound keeps that series allocatable.
+pub const MAX_ROUNDS: usize = 1 << 20;
 
 /// Full configuration of one scenario run.
 #[derive(Debug, Clone)]
@@ -178,8 +182,20 @@ impl ScenarioConfig {
         if self.nodes < 4 {
             return Err(ValidationError::new("nodes", "need at least 4 nodes"));
         }
+        if self.nodes > MAX_NODES {
+            return Err(ValidationError::new(
+                "nodes",
+                format!("must be at most {MAX_NODES}"),
+            ));
+        }
         if self.rounds == 0 {
             return Err(ValidationError::new("rounds", "must be positive"));
+        }
+        if self.rounds > MAX_ROUNDS {
+            return Err(ValidationError::new(
+                "rounds",
+                format!("must be at most {MAX_ROUNDS}"),
+            ));
         }
         if self.interactions_per_node == 0 {
             return Err(ValidationError::new(

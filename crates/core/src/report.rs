@@ -142,24 +142,6 @@ impl ExperimentTable {
         ])
         .to_string()
     }
-
-    /// Column index by header name.
-    pub fn column_index(&self, name: &str) -> Option<usize> {
-        self.columns.iter().position(|c| c == name)
-    }
-
-    /// The values of one column across rows.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the column does not exist.
-    pub fn column(&self, name: &str) -> Vec<f64> {
-        let i = self
-            .column_index(name)
-            // tsn-lint: allow(no-unwrap, "documented panic: column() is a programmer-facing lookup and the message names the missing column")
-            .unwrap_or_else(|| panic!("no column {name}"));
-        self.rows.iter().map(|r| r.values[i]).collect()
-    }
 }
 
 #[cfg(test)]
@@ -187,15 +169,6 @@ mod tests {
     fn mismatched_row_panics() {
         let mut t = table();
         t.push(ExperimentRow::new("bad", vec![1.0]));
-    }
-
-    #[test]
-    fn column_extraction() {
-        let t = table();
-        assert_eq!(t.column("alpha"), vec![1.0, 3.0]);
-        assert_eq!(t.column("beta"), vec![2.0, 4.0]);
-        assert_eq!(t.column_index("beta"), Some(1));
-        assert_eq!(t.column_index("gamma"), None);
     }
 
     #[test]

@@ -44,8 +44,8 @@ use tsn_reputation::{
     ReportView, ReputationMechanism, SelectionScratch,
 };
 use tsn_satisfaction::{
-    AdequacyModel, AllocationTracker, ConsumerIntentions, GlobalSatisfaction, InteractionAspects,
-    ProviderIntentions, SatisfactionTracker,
+    AdequacyModel, ConsumerIntentions, GlobalSatisfaction, InteractionAspects, ProviderIntentions,
+    SatisfactionTracker,
 };
 use tsn_simnet::{
     DynamicsEvent, DynamicsRuntime, GroupMap, MembershipRuntime, NodeId, PartialView, SimDuration,
@@ -208,7 +208,6 @@ struct UserState {
     satisfaction: SatisfactionTracker,
     provider_satisfaction: SatisfactionTracker,
     load_this_round: u32,
-    allocation: AllocationTracker,
     /// Disclosure ladder level the user is willing to feed the
     /// reputation system.
     willingness_level: usize,
@@ -431,9 +430,6 @@ fn run_shard(ctx: &ShardCtx<'_>, users: &mut [UserState], state: &mut ShardState
             let decision =
                 ctx.enforcer
                     .decide(&request, &ctx.policies[provider.index()], &request_ctx);
-
-            let intended = user.intentions.intends(provider);
-            user.allocation.observe(intended);
 
             let outcome_quality;
             if decision.is_granted() {
@@ -696,7 +692,6 @@ impl Scenario {
                 satisfaction: SatisfactionTracker::default(),
                 provider_satisfaction: SatisfactionTracker::default(),
                 load_this_round: 0,
-                allocation: AllocationTracker::default(),
                 // Users initially comply with the system's required
                 // feedback-disclosure level; distrust erodes this
                 // willingness when `adaptive_disclosure` is on.

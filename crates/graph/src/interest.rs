@@ -3,9 +3,8 @@
 //! The satisfaction model (ref \[17\] of the paper) needs each participant to
 //! have *intentions*: which content, services or partners they prefer.
 //! Interest profiles give those preferences a concrete, measurable form: a
-//! point on the simplex over `k` topics. Content items carry a topic
-//! vector too, so "the user got what she wanted" becomes a cosine
-//! similarity.
+//! point on the simplex over `k` topics, whose dominant topic picks the
+//! partners a user prefers.
 
 use tsn_simnet::SimRng;
 
@@ -67,26 +66,6 @@ impl InterestProfile {
         }
     }
 
-    /// A profile entirely focused on one topic.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `topic >= topics`.
-    pub fn single_topic(topics: usize, topic: usize) -> Self {
-        assert!(topic < topics, "topic out of range");
-        let mut w = vec![0.0; topics];
-        w[topic] = 1.0;
-        InterestProfile { weights: w }
-    }
-
-    /// The uniform profile.
-    pub fn uniform(topics: usize) -> Self {
-        assert!(topics > 0);
-        InterestProfile {
-            weights: vec![1.0 / topics as f64; topics],
-        }
-    }
-
     /// The normalized weights.
     pub fn weights(&self) -> &[f64] {
         &self.weights
@@ -95,33 +74,6 @@ impl InterestProfile {
     /// Number of topics.
     pub fn topics(&self) -> usize {
         self.weights.len()
-    }
-
-    /// Cosine similarity with another profile in the same space, in
-    /// `\[0, 1\]` because weights are non-negative.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the spaces differ.
-    pub fn similarity(&self, other: &InterestProfile) -> f64 {
-        assert_eq!(
-            self.topics(),
-            other.topics(),
-            "profiles live in different spaces"
-        );
-        let dot: f64 = self
-            .weights
-            .iter()
-            .zip(&other.weights)
-            .map(|(a, b)| a * b)
-            .sum();
-        let na: f64 = self.weights.iter().map(|a| a * a).sum::<f64>().sqrt();
-        let nb: f64 = other.weights.iter().map(|b| b * b).sum::<f64>().sqrt();
-        if na == 0.0 || nb == 0.0 {
-            0.0
-        } else {
-            (dot / (na * nb)).clamp(0.0, 1.0)
-        }
     }
 
     /// The dominant topic (lowest index wins ties).
@@ -133,16 +85,6 @@ impl InterestProfile {
             }
         }
         best
-    }
-
-    /// Shannon entropy in nats; 0 for a single-topic profile, `ln(k)` for
-    /// the uniform profile. Used as a "breadth of interest" measure.
-    pub fn entropy(&self) -> f64 {
-        self.weights
-            .iter()
-            .filter(|&&w| w > 0.0)
-            .map(|&w| -w * w.ln())
-            .sum()
     }
 }
 
@@ -170,27 +112,10 @@ mod tests {
     }
 
     #[test]
-    fn similarity_extremes() {
-        let a = InterestProfile::single_topic(3, 0);
-        let b = InterestProfile::single_topic(3, 1);
-        assert_eq!(a.similarity(&b), 0.0);
-        assert!((a.similarity(&a) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn similarity_is_symmetric() {
-        let a = InterestProfile::new(vec![1.0, 2.0, 3.0]);
-        let b = InterestProfile::new(vec![3.0, 1.0, 1.0]);
-        assert!((a.similarity(&b) - b.similarity(&a)).abs() < 1e-12);
-    }
-
-    #[test]
-    fn dominant_topic_and_entropy() {
+    fn dominant_topic_is_the_heaviest() {
         let p = InterestProfile::new(vec![0.1, 0.7, 0.2]);
         assert_eq!(p.dominant_topic(), 1);
-        assert_eq!(InterestProfile::single_topic(4, 2).entropy(), 0.0);
-        let u = InterestProfile::uniform(4);
-        assert!((u.entropy() - 4.0f64.ln()).abs() < 1e-12);
+        assert_eq!(InterestProfile::new(vec![1.0, 1.0]).dominant_topic(), 0);
     }
 
     #[test]
@@ -205,6 +130,15 @@ mod tests {
         assert!((sum - 1.0).abs() < 1e-9);
     }
 
+    /// Shannon entropy in nats: the breadth of a profile's interest.
+    fn entropy(p: &InterestProfile) -> f64 {
+        p.weights()
+            .iter()
+            .filter(|&&w| w > 0.0)
+            .map(|&w| -w * w.ln())
+            .sum()
+    }
+
     #[test]
     fn concentration_sharpens_profiles() {
         let space = InterestSpace::new(10);
@@ -212,7 +146,7 @@ mod tests {
         let n = 200;
         let avg_entropy = |c: f64, rng: &mut SimRng| {
             (0..n)
-                .map(|_| space.sample_profile(c, rng).entropy())
+                .map(|_| entropy(&space.sample_profile(c, rng)))
                 .sum::<f64>()
                 / n as f64
         };
@@ -222,13 +156,5 @@ mod tests {
             sharp < diffuse,
             "higher concentration → lower entropy ({sharp} vs {diffuse})"
         );
-    }
-
-    #[test]
-    #[should_panic(expected = "different spaces")]
-    fn cross_space_similarity_panics() {
-        let a = InterestProfile::uniform(3);
-        let b = InterestProfile::uniform(4);
-        let _ = a.similarity(&b);
     }
 }

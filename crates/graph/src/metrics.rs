@@ -8,26 +8,6 @@ pub fn degree_sequence(g: &Graph) -> Vec<usize> {
     g.nodes().map(|v| g.degree(v)).collect()
 }
 
-/// Degree histogram: `hist[d]` = number of nodes with degree `d`.
-pub fn degree_histogram(g: &Graph) -> Vec<usize> {
-    let degrees = degree_sequence(g);
-    let max = degrees.iter().copied().max().unwrap_or(0);
-    let mut hist = vec![0usize; max + 1];
-    for d in degrees {
-        hist[d] += 1;
-    }
-    hist
-}
-
-/// Mean degree (0 for the empty graph).
-pub fn mean_degree(g: &Graph) -> f64 {
-    if g.node_count() == 0 {
-        0.0
-    } else {
-        2.0 * g.edge_count() as f64 / g.node_count() as f64
-    }
-}
-
 /// Local clustering coefficient of one node: fraction of neighbour pairs
 /// that are themselves connected. Zero for degree < 2.
 pub fn local_clustering(g: &Graph, node: NodeId) -> f64 {
@@ -89,50 +69,6 @@ pub fn average_path_length(g: &Graph, samples: usize, rng: &mut SimRng) -> Optio
     } else {
         Some(total as f64 / pairs as f64)
     }
-}
-
-/// Graph diameter (longest shortest path) over the sampled sources; exact
-/// when `samples >= n`. `None` for graphs with no reachable pair.
-pub fn diameter(g: &Graph, samples: usize, rng: &mut SimRng) -> Option<u32> {
-    let n = g.node_count();
-    if n < 2 {
-        return None;
-    }
-    let sources: Vec<NodeId> = if samples >= n {
-        g.nodes().collect()
-    } else {
-        let mut all: Vec<NodeId> = g.nodes().collect();
-        rng.shuffle(&mut all);
-        all.truncate(samples.max(1));
-        all
-    };
-    let mut best: Option<u32> = None;
-    for s in sources {
-        for d in g.bfs_distances(s).into_iter().flatten() {
-            best = Some(best.map_or(d, |b| b.max(d)));
-        }
-    }
-    best.filter(|&d| d > 0)
-}
-
-/// Degree assortativity (Pearson correlation of degrees across edges).
-/// `None` when the graph has no edges or degrees are constant.
-pub fn degree_assortativity(g: &Graph) -> Option<f64> {
-    if g.edge_count() == 0 {
-        return None;
-    }
-    let mut xs = Vec::with_capacity(g.edge_count() * 2);
-    let mut ys = Vec::with_capacity(g.edge_count() * 2);
-    for (a, b) in g.edges() {
-        let da = g.degree(a) as f64;
-        let db = g.degree(b) as f64;
-        // Count each edge in both orientations to symmetrize.
-        xs.push(da);
-        ys.push(db);
-        xs.push(db);
-        ys.push(da);
-    }
-    pearson(&xs, &ys)
 }
 
 /// Pearson correlation of two equally long samples; `None` when undefined
@@ -206,8 +142,6 @@ mod tests {
             g.add_edge(NodeId(0), NodeId::from_index(i));
         }
         assert_eq!(degree_sequence(&g), vec![4, 1, 1, 1, 1]);
-        assert_eq!(degree_histogram(&g), vec![0, 4, 0, 0, 1]);
-        assert!((mean_degree(&g) - 1.6).abs() < 1e-12);
     }
 
     #[test]
@@ -228,7 +162,6 @@ mod tests {
         // Ring C6: distances 1,1,2,2,3 from each node → mean 1.8.
         let apl = average_path_length(&g, 100, &mut rng).unwrap();
         assert!((apl - 1.8).abs() < 1e-12);
-        assert_eq!(diameter(&g, 100, &mut rng), Some(3));
     }
 
     #[test]
@@ -236,7 +169,6 @@ mod tests {
         let g = Graph::with_nodes(3);
         let mut rng = SimRng::seed_from_u64(0);
         assert_eq!(average_path_length(&g, 10, &mut rng), None);
-        assert_eq!(diameter(&g, 10, &mut rng), None);
     }
 
     #[test]
@@ -280,16 +212,5 @@ mod tests {
         let xs = [1.0, 2.0, 2.0, 3.0];
         let ys = [1.0, 2.0, 2.0, 3.0];
         assert!((spearman(&xs, &ys).unwrap() - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn assortativity_of_star_is_negative() {
-        let mut g = Graph::with_nodes(5);
-        for i in 1..5 {
-            g.add_edge(NodeId(0), NodeId::from_index(i));
-        }
-        let r = degree_assortativity(&g).unwrap();
-        assert!(r < -0.9, "stars are disassortative, got {r}");
-        assert_eq!(degree_assortativity(&Graph::with_nodes(3)), None);
     }
 }

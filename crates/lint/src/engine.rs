@@ -3,8 +3,9 @@
 //! The engine walks the workspace's own sources (member `src/` and
 //! `benches/` trees, the facade `src/`, root `tests/` and `examples/`),
 //! lexes each file, applies the line rules under the file's scope,
-//! honours justification pragmas, and layers on the two workspace-level
-//! rules (crate-root `forbid-unsafe`, `Cargo.lock` purity). Everything
+//! honours justification pragmas, and layers on the three
+//! workspace-level rules (crate-root `forbid-unsafe`, `orphan-pub` over
+//! every file plus `perfbench/src`, `Cargo.lock` purity). Everything
 //! is deterministic: files are visited in sorted order and findings are
 //! reported in `(path, line, rule)` order.
 
@@ -13,6 +14,7 @@ use std::io;
 use std::path::{Path, PathBuf};
 
 use crate::lexer::{lex, LexedFile};
+use crate::orphan::orphan_pub;
 use crate::pragma::{parse_line, Pragma};
 use crate::rules::{
     check_crate_root, check_lockfile, run_file_rules, toml_str_value, FileScope, Finding,
@@ -99,7 +101,8 @@ pub fn lint_workspace(root: &Path) -> io::Result<LintReport> {
             }
         }
     }
-    for sub in ["tests", "examples"] {
+    // perfbench is a separate package, read for callers only.
+    for sub in ["tests", "examples", "perfbench/src"] {
         let base = root.join(sub);
         if base.is_dir() {
             collect_rs_files(&base, &mut files)?;
@@ -108,52 +111,31 @@ pub fn lint_workspace(root: &Path) -> io::Result<LintReport> {
     files.sort();
     files.dedup();
 
-    let mut findings: Vec<Finding> = Vec::new();
-    let mut suppressed: Vec<Suppressed> = Vec::new();
-    let mut pragma_records: Vec<PragmaRecord> = Vec::new();
-
+    let mut sources = Vec::with_capacity(files.len());
     for file in &files {
-        let source = read_named(file)?;
-        let rel = relative_to(file, root);
-        let scope = classify(&rel);
-        let lexed = lex(&source);
-        let raw_lines: Vec<&str> = source.lines().collect();
-
-        let mut file_findings = run_file_rules(scope, &rel, &lexed, &raw_lines);
-        if is_crate_root(&rel) {
-            if let Some(f) = check_crate_root(&rel, &lexed) {
-                file_findings.push(f);
-            }
-        }
-        let (mut sup, mut recs) = pragma_pass(&rel, &lexed, &raw_lines, &mut file_findings);
-        suppressed.append(&mut sup);
-        pragma_records.append(&mut recs);
-        findings.append(&mut file_findings);
+        sources.push((relative_to(file, root), read_named(file)?));
     }
+    let mut report = lint_files(&sources);
+    report.root = root.to_path_buf();
+    report.members = members;
 
     // ---- workspace-level: Cargo.lock purity ----------------------------
     let lock_text = read_named(&root.join("Cargo.lock"))?;
-    let (lock_findings, packages) = check_lockfile(&lock_text, &members);
-    findings.extend(lock_findings);
+    let (lock_findings, packages) = check_lockfile(&lock_text, &report.members);
+    report.findings.extend(lock_findings);
+    report.packages = packages;
 
-    findings.sort_by(|a, b| (&a.path, a.line, a.rule).cmp(&(&b.path, b.line, b.rule)));
-    suppressed.sort_by(|a, b| {
+    report
+        .findings
+        .sort_by(|a, b| (&a.path, a.line, a.rule).cmp(&(&b.path, b.line, b.rule)));
+    report.suppressed.sort_by(|a, b| {
         (&a.finding.path, a.finding.line, a.finding.rule).cmp(&(
             &b.finding.path,
             b.finding.line,
             b.finding.rule,
         ))
     });
-
-    Ok(LintReport {
-        root: root.to_path_buf(),
-        files_scanned: files.len(),
-        findings,
-        suppressed,
-        pragmas: pragma_records,
-        members,
-        packages,
-    })
+    Ok(report)
 }
 
 /// `fs::read_to_string` with the failing path in the error message —
@@ -174,6 +156,59 @@ pub fn lint_source(scope: FileScope, name: &str, source: &str) -> Vec<Finding> {
     pragma_pass(name, &lexed, &raw_lines, &mut findings);
     findings.sort_by_key(|a| (a.line, a.rule));
     findings
+}
+
+/// Lints in-memory sources as one workspace: each file's rules under
+/// the scope its path implies ([`classify`]), plus `orphan-pub` across
+/// all of them. Files under `perfbench/` are read for callers only.
+/// The fixture entry point for the workspace-level rules.
+pub fn lint_sources(sources: &[(&str, &str)]) -> Vec<Finding> {
+    let mut findings = lint_files(sources).findings;
+    findings.sort_by(|a, b| (&a.path, a.line, a.rule).cmp(&(&b.path, b.line, b.rule)));
+    findings
+}
+
+/// Runs every source-level rule over `(path, source)` pairs and applies
+/// each linted file's pragmas. The report's root, members and packages
+/// are left for the caller.
+fn lint_files<P: AsRef<str>, S: AsRef<str>>(sources: &[(P, S)]) -> LintReport {
+    let linted = |path: &str| !path.starts_with("perfbench/");
+    let indexed = |path: &str| linted(path) && classify(path) == FileScope::Library;
+    let lexed: Vec<LexedFile> = sources.iter().map(|(_, s)| lex(s.as_ref())).collect();
+    let index: Vec<(&str, &LexedFile, bool)> = sources
+        .iter()
+        .zip(&lexed)
+        .map(|((path, _), l)| (path.as_ref(), l, indexed(path.as_ref())))
+        .collect();
+    let orphans = orphan_pub(&index);
+
+    let mut report = LintReport {
+        root: PathBuf::new(),
+        files_scanned: 0,
+        findings: Vec::new(),
+        suppressed: Vec::new(),
+        pragmas: Vec::new(),
+        members: Vec::new(),
+        packages: Vec::new(),
+    };
+    for ((path, source), lexed) in sources.iter().zip(&lexed) {
+        let (path, source) = (path.as_ref(), source.as_ref());
+        if !linted(path) {
+            continue;
+        }
+        report.files_scanned += 1;
+        let raw_lines: Vec<&str> = source.lines().collect();
+        let mut file_findings = run_file_rules(classify(path), path, lexed, &raw_lines);
+        if is_crate_root(path) {
+            file_findings.extend(check_crate_root(path, lexed));
+        }
+        file_findings.extend(orphans.iter().filter(|f| f.path == path).cloned());
+        let (mut sup, mut recs) = pragma_pass(path, lexed, &raw_lines, &mut file_findings);
+        report.suppressed.append(&mut sup);
+        report.pragmas.append(&mut recs);
+        report.findings.append(&mut file_findings);
+    }
+    report
 }
 
 /// The shared pragma pass: parses pragmas out of the comment channel,

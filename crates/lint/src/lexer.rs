@@ -32,13 +32,6 @@ pub struct LexedFile {
     pub comment: Vec<String>,
 }
 
-impl LexedFile {
-    /// Number of physical lines.
-    pub fn line_count(&self) -> usize {
-        self.code.len()
-    }
-}
-
 enum State {
     /// Ordinary code.
     Normal,

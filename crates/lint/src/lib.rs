@@ -30,11 +30,12 @@
 
 pub mod engine;
 pub mod lexer;
+mod orphan;
 pub mod pragma;
 pub mod report;
 pub mod rules;
 
-pub use engine::{lint_source, lint_workspace, LintReport, PragmaRecord, Suppressed};
+pub use engine::{lint_source, lint_sources, lint_workspace, LintReport, PragmaRecord, Suppressed};
 pub use lexer::{lex, LexedFile};
 pub use pragma::{parse_line, Pragma, PragmaError};
 pub use report::{render_json, render_text};

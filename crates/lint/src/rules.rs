@@ -30,6 +30,9 @@ pub enum RuleId {
     /// `Cargo.lock` must resolve to workspace members only (the
     /// zero-dependency invariant).
     WorkspacePurity,
+    /// A library `pub` item that nothing calls — substrate no
+    /// production path, test or benchmark drives.
+    OrphanPub,
     /// Malformed suppression pragmas (missing/empty justification,
     /// unknown rule name).
     PragmaHygiene,
@@ -37,13 +40,14 @@ pub enum RuleId {
 
 impl RuleId {
     /// All rules, in reporting order.
-    pub const ALL: [RuleId; 7] = [
+    pub const ALL: [RuleId; 8] = [
         RuleId::HashIter,
         RuleId::WallClock,
         RuleId::ForeignRng,
         RuleId::NoUnwrap,
         RuleId::ForbidUnsafe,
         RuleId::WorkspacePurity,
+        RuleId::OrphanPub,
         RuleId::PragmaHygiene,
     ];
 
@@ -56,6 +60,7 @@ impl RuleId {
             RuleId::NoUnwrap => "no-unwrap",
             RuleId::ForbidUnsafe => "forbid-unsafe",
             RuleId::WorkspacePurity => "workspace-purity",
+            RuleId::OrphanPub => "orphan-pub",
             RuleId::PragmaHygiene => "pragma-hygiene",
         }
     }
@@ -155,7 +160,7 @@ fn word_positions(line: &str, pat: &str) -> Vec<usize> {
     out
 }
 
-fn is_ident_byte(b: u8) -> bool {
+pub(crate) fn is_ident_byte(b: u8) -> bool {
     b == b'_' || b.is_ascii_alphanumeric()
 }
 
@@ -252,7 +257,7 @@ fn no_unwrap(path: &str, lexed: &LexedFile, raw: &[&str], out: &mut Vec<Finding>
 /// Brace-depth tracking on lexed code (string/char braces already
 /// blanked). The region starts at the attribute line and ends when the
 /// brace depth returns to its pre-attribute level.
-fn cfg_test_mask(lexed: &LexedFile) -> Vec<bool> {
+pub(crate) fn cfg_test_mask(lexed: &LexedFile) -> Vec<bool> {
     #[derive(PartialEq)]
     enum Region {
         /// Not inside a gated item.

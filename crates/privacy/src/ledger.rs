@@ -11,7 +11,7 @@
 //!
 //! Aggregate queries ([`DisclosureLedger::respect_rate`],
 //! [`DisclosureLedger::respect_rate_for`], [`DisclosureLedger::breach_count`],
-//! [`DisclosureLedger::exposure_for`], [`DisclosureLedger::total_exposure`])
+//! [`DisclosureLedger::total_exposure`])
 //! are answered from running counters maintained on every `record_*` call,
 //! so they are O(1) instead of a scan of the full record log — the
 //! scenario loop queries them per user per round. The counters are exact:
@@ -69,7 +69,6 @@ impl DisclosureRecord {
 struct OwnerStats {
     total: u64,
     compliant: u64,
-    exposure: f64,
 }
 
 /// Append-only ledger of disclosures, with per-owner aggregation.
@@ -144,12 +143,10 @@ impl DisclosureLedger {
             Some(BreachCause::System) => self.system_breaches += 1,
             None => {}
         }
-        let exposure = record.exposure();
-        self.total_exposure += exposure;
+        self.total_exposure += record.exposure();
         let stats = self.owner_stats_mut(record.owner);
         stats.total += 1;
         stats.compliant += u64::from(record.compliant);
-        stats.exposure += exposure;
 
         self.records.push_back(record);
         if let Some(cap) = self.raw_record_cap {
@@ -246,62 +243,9 @@ impl DisclosureLedger {
         }
     }
 
-    /// Sensitivity-weighted exposure of one owner: Σ sensitivity(category)
-    /// over their non-anonymized disclosed records (anonymized flows count
-    /// 25 %). Unnormalized; see [`crate::exposure`] for the facet mapping.
-    pub fn exposure_for(&self, owner: NodeId) -> f64 {
-        self.owners
-            .get(owner.index())
-            .map_or(0.0, |stats| stats.exposure)
-    }
-
     /// Total sensitivity-weighted exposure across all owners.
     pub fn total_exposure(&self) -> f64 {
         self.total_exposure
-    }
-
-    /// Records concerning one owner (within the retained raw window).
-    pub fn records_for(&self, owner: NodeId) -> impl Iterator<Item = &DisclosureRecord> {
-        self.records.iter().filter(move |r| r.owner == owner)
-    }
-
-    /// Drops records older than `horizon` (retention enforcement on the
-    /// ledger itself) and rebuilds the aggregates from the survivors, so
-    /// the counters match a ledger that never saw the purged flows.
-    /// Returns how many retained records were purged.
-    ///
-    /// With a raw-record cap, records evicted from the raw window carry
-    /// no timestamp any more, so a purge resets the aggregates to the
-    /// surviving *retained* window — evicted history is forgotten along
-    /// with the purge, whatever its age.
-    pub fn purge_before(&mut self, horizon: SimTime) -> usize {
-        let before = self.records.len();
-        self.records.retain(|r| r.at >= horizon);
-        let purged = before - self.records.len();
-        let capped_history = self.raw_record_cap.is_some() && self.total as usize > before;
-        if purged > 0 || capped_history {
-            self.rebuild_aggregates();
-        }
-        purged
-    }
-
-    /// Recomputes every counter from the retained raw records, in record
-    /// order — the same accumulation order `push` uses, so the rebuilt
-    /// state is exactly what incremental maintenance would have produced.
-    fn rebuild_aggregates(&mut self) {
-        self.owners.clear();
-        self.total = 0;
-        self.compliant = 0;
-        self.user_breaches = 0;
-        self.system_breaches = 0;
-        self.total_exposure = 0.0;
-        let records = std::mem::take(&mut self.records);
-        let cap = self.raw_record_cap.take();
-        for record in &records {
-            self.push(*record);
-        }
-        self.records = records;
-        self.raw_record_cap = cap;
     }
 }
 
@@ -398,82 +342,7 @@ mod tests {
             Purpose::Social,
             true,
         );
-        let expected = 1.0 + 0.25;
-        assert!((l.exposure_for(NodeId(0)) - expected).abs() < 1e-12);
-        assert!((l.total_exposure() - expected).abs() < 1e-12);
-    }
-
-    #[test]
-    fn purge_enforces_retention() {
-        let mut l = DisclosureLedger::new();
-        for s in 0..10 {
-            l.record_disclosure(
-                t(s),
-                NodeId(0),
-                NodeId(1),
-                DataCategory::Content,
-                Purpose::Social,
-                false,
-            );
-        }
-        let purged = l.purge_before(t(5));
-        assert_eq!(purged, 5);
-        assert_eq!(l.len(), 5);
-        assert!(l.records().iter().all(|r| r.at >= t(5)));
-    }
-
-    #[test]
-    fn purge_rebuilds_aggregates() {
-        let mut l = DisclosureLedger::new();
-        l.record_breach(
-            t(0),
-            NodeId(0),
-            NodeId(1),
-            DataCategory::Content,
-            Purpose::Social,
-            BreachCause::System,
-        );
-        l.record_disclosure(
-            t(5),
-            NodeId(0),
-            NodeId(1),
-            DataCategory::Content,
-            Purpose::Social,
-            false,
-        );
-        assert_eq!(l.respect_rate(), 0.5);
-        l.purge_before(t(1));
-        assert_eq!(l.respect_rate(), 1.0, "purged breach no longer counted");
-        assert_eq!(l.breach_count(None), 0);
-        assert_eq!(l.len(), 1);
-        assert!(
-            (l.exposure_for(NodeId(0)) - DataCategory::Content.sensitivity()).abs() < 1e-12,
-            "owner exposure rebuilt from survivors"
-        );
-    }
-
-    #[test]
-    fn records_for_filters_by_owner() {
-        let mut l = DisclosureLedger::new();
-        l.record_disclosure(
-            t(1),
-            NodeId(0),
-            NodeId(1),
-            DataCategory::Content,
-            Purpose::Social,
-            false,
-        );
-        l.record_disclosure(
-            t(2),
-            NodeId(1),
-            NodeId(0),
-            DataCategory::Content,
-            Purpose::Social,
-            false,
-        );
-        assert_eq!(l.records_for(NodeId(0)).count(), 1);
-        assert_eq!(l.records_for(NodeId(1)).count(), 1);
-        assert_eq!(l.records_for(NodeId(2)).count(), 0);
+        assert!((l.total_exposure() - (1.0 + 0.25)).abs() < 1e-12);
     }
 
     #[test]
@@ -527,52 +396,14 @@ mod tests {
             let mine: Vec<_> = records.iter().filter(|r| r.owner == owner).collect();
             let scan_rate = mine.iter().filter(|r| r.compliant).count() as f64 / mine.len() as f64;
             assert_eq!(l.respect_rate_for(owner), scan_rate, "owner {owner:?}");
-            let scan_exposure: f64 = mine.iter().map(|r| r.exposure()).sum();
-            assert!((l.exposure_for(owner) - scan_exposure).abs() < 1e-12);
         }
+        let scan_exposure: f64 = records.iter().map(|r| r.exposure()).sum();
+        assert_eq!(l.total_exposure(), scan_exposure);
         let scan_user = records
             .iter()
             .filter(|r| r.breach_cause == Some(BreachCause::MaliciousUser))
             .count();
         assert_eq!(l.breach_count(Some(BreachCause::MaliciousUser)), scan_user);
-    }
-
-    #[test]
-    fn purge_with_cap_resets_aggregates_to_retained_window() {
-        // Records evicted by the cap have no timestamps left; a purge
-        // therefore drops them from the aggregates too, even when the
-        // retained window itself is entirely newer than the horizon.
-        let mut l = DisclosureLedger::with_raw_record_cap(Some(4));
-        for s in 0..20 {
-            if s % 3 == 0 {
-                l.record_breach(
-                    t(s),
-                    NodeId(0),
-                    NodeId(1),
-                    DataCategory::Content,
-                    Purpose::Social,
-                    BreachCause::System,
-                );
-            } else {
-                l.record_disclosure(
-                    t(s),
-                    NodeId(0),
-                    NodeId(1),
-                    DataCategory::Content,
-                    Purpose::Social,
-                    false,
-                );
-            }
-        }
-        assert_eq!(l.len(), 20);
-        let purged = l.purge_before(t(10));
-        assert_eq!(purged, 0, "retained window is t=16..19");
-        assert_eq!(l.len(), 4, "evicted history forgotten with the purge");
-        assert_eq!(
-            l.breach_count(None),
-            l.records().iter().filter(|r| !r.compliant).count(),
-            "aggregates match the surviving window"
-        );
     }
 
     #[test]

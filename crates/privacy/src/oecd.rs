@@ -164,33 +164,9 @@ impl OecdAudit {
         self.scores.iter().map(|(_, s)| s).sum::<f64>() / self.scores.len() as f64
     }
 
-    /// Principles scoring below `threshold`, for audit reports.
-    pub fn failing(&self, threshold: f64) -> Vec<OecdPrinciple> {
-        self.scores
-            .iter()
-            .filter(|(_, s)| *s < threshold)
-            .map(|(p, _)| *p)
-            .collect()
-    }
-
     /// Iterates `(principle, score)` in guideline order.
     pub fn iter(&self) -> impl Iterator<Item = (OecdPrinciple, f64)> + '_ {
         self.scores.iter().copied()
-    }
-}
-
-/// A fully compliant baseline profile (used in tests and as a reference
-/// point in experiments).
-pub fn best_practice_profile() -> SystemPrivacyProfile {
-    SystemPrivacyProfile {
-        collection_fraction: 0.0,
-        purposes_declared: true,
-        purpose_respect_rate: 1.0,
-        data_quality_controls: true,
-        safeguards_active: true,
-        policies_published: true,
-        user_controls: true,
-        breaches_attributed: true,
     }
 }
 
@@ -198,11 +174,24 @@ pub fn best_practice_profile() -> SystemPrivacyProfile {
 mod tests {
     use super::*;
 
+    /// A fully compliant profile.
+    fn best_practice() -> SystemPrivacyProfile {
+        SystemPrivacyProfile {
+            collection_fraction: 0.0,
+            purposes_declared: true,
+            purpose_respect_rate: 1.0,
+            data_quality_controls: true,
+            safeguards_active: true,
+            policies_published: true,
+            user_controls: true,
+            breaches_attributed: true,
+        }
+    }
+
     #[test]
     fn best_practice_scores_one() {
-        let audit = OecdAudit::evaluate(&best_practice_profile());
+        let audit = OecdAudit::evaluate(&best_practice());
         assert_eq!(audit.overall(), 1.0);
-        assert!(audit.failing(0.5).is_empty());
         for p in OecdPrinciple::ALL {
             assert_eq!(audit.score(p), 1.0, "{p}");
         }
@@ -222,12 +211,11 @@ mod tests {
         };
         let audit = OecdAudit::evaluate(&profile);
         assert_eq!(audit.overall(), 0.0);
-        assert_eq!(audit.failing(0.5).len(), 8);
     }
 
     #[test]
     fn collection_limitation_tracks_exposure() {
-        let mut profile = best_practice_profile();
+        let mut profile = best_practice();
         profile.collection_fraction = 0.6;
         let audit = OecdAudit::evaluate(&profile);
         assert!((audit.score(OecdPrinciple::CollectionLimitation) - 0.4).abs() < 1e-12);
@@ -236,11 +224,15 @@ mod tests {
 
     #[test]
     fn failing_threshold_filters() {
-        let mut profile = best_practice_profile();
+        let mut profile = best_practice();
         profile.safeguards_active = false;
         profile.purpose_respect_rate = 0.3;
         let audit = OecdAudit::evaluate(&profile);
-        let failing = audit.failing(0.5);
+        let failing: Vec<OecdPrinciple> = audit
+            .iter()
+            .filter(|&(_, score)| score < 0.5)
+            .map(|(p, _)| p)
+            .collect();
         assert_eq!(
             failing,
             vec![
@@ -252,7 +244,7 @@ mod tests {
 
     #[test]
     fn validation_rejects_out_of_range() {
-        let mut profile = best_practice_profile();
+        let mut profile = best_practice();
         profile.collection_fraction = 1.2;
         assert!(profile.validate().is_err());
         profile.collection_fraction = 0.5;
@@ -262,7 +254,7 @@ mod tests {
 
     #[test]
     fn iter_covers_all_in_order() {
-        let audit = OecdAudit::evaluate(&best_practice_profile());
+        let audit = OecdAudit::evaluate(&best_practice());
         let principles: Vec<OecdPrinciple> = audit.iter().map(|(p, _)| p).collect();
         assert_eq!(principles, OecdPrinciple::ALL.to_vec());
     }

@@ -65,11 +65,6 @@ impl RetentionTracker {
         self.live.len()
     }
 
-    /// Live copies of one owner's data.
-    pub fn live_copies_of(&self, owner: NodeId) -> usize {
-        self.live.iter().filter(|c| c.owner == owner).count()
-    }
-
     /// The holder deletes every copy of `owner`'s data it holds.
     /// Deletions after expiry count as *late* (non-compliant).
     pub fn delete(&mut self, holder: NodeId, owner: NodeId, now: SimTime) -> usize {
@@ -128,11 +123,6 @@ impl RetentionTracker {
             self.deleted_on_time as f64 / resolved as f64
         }
     }
-
-    /// Copies that outlived their retention without a compliant deletion.
-    pub fn violations(&self) -> u64 {
-        self.deleted_late + self.expired_unhandled
-    }
 }
 
 #[cfg(test)]
@@ -158,8 +148,6 @@ mod tests {
         );
         assert_eq!(copy.expires_at, SimTime::from_secs(150));
         assert_eq!(t.live_copies(), 1);
-        assert_eq!(t.live_copies_of(NodeId(0)), 1);
-        assert_eq!(t.live_copies_of(NodeId(9)), 0);
     }
 
     #[test]
@@ -174,7 +162,7 @@ mod tests {
         let removed = t.delete(NodeId(1), NodeId(0), SimTime::from_secs(80));
         assert_eq!(removed, 1);
         assert_eq!(t.compliance_rate(), 1.0);
-        assert_eq!(t.violations(), 0);
+        assert_eq!(t.deleted_late + t.expired_unhandled, 0);
         assert_eq!(t.live_copies(), 0);
     }
 
@@ -189,7 +177,7 @@ mod tests {
         );
         t.delete(NodeId(1), NodeId(0), SimTime::from_secs(200));
         assert_eq!(t.compliance_rate(), 0.0);
-        assert_eq!(t.violations(), 1);
+        assert_eq!(t.deleted_late, 1);
     }
 
     #[test]
@@ -243,7 +231,7 @@ mod tests {
         t.sweep_expired(SimTime::from_secs(60), |c| c.holder == NodeId(3));
         // holder 3 honoured, holder 4 violated.
         assert_eq!(t.deleted_on_time, 2);
-        assert_eq!(t.violations(), 2);
+        assert_eq!(t.deleted_late + t.expired_unhandled, 2);
         assert_eq!(t.compliance_rate(), 0.5);
     }
 }

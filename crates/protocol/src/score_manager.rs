@@ -244,18 +244,6 @@ impl ManagerNetwork {
         self.driver.dynamics()
     }
 
-    /// Forgets every stored shard, collected answer and ground-truth
-    /// entry about `subject` — the whitewash semantics: a fresh identity
-    /// starts from the prior.
-    pub fn forget_subject(&mut self, subject: NodeId) {
-        forget_subject_in(
-            &mut self.stores,
-            &mut self.answers,
-            &mut self.truth,
-            subject,
-        );
-    }
-
     /// Executes one protocol round: flushes queued application traffic,
     /// then processes whatever arrived (reports stored, queries answered,
     /// answers collected).
@@ -399,9 +387,9 @@ impl ManagerNetwork {
     }
 }
 
-/// The single source of the whitewash-forget semantics, shared by the
-/// public [`ManagerNetwork::forget_subject`] and the dynamics-event
-/// path inside `round()` (which works over destructured fields).
+/// Forgets every stored shard, collected answer and ground-truth entry
+/// about `subject` — the whitewash semantics: a fresh identity starts
+/// from the prior. Works over the fields `round()` destructures.
 fn forget_subject_in(
     stores: &mut SparseRows<Shard>,
     answers: &mut SparseRows<(f64, f64)>,
@@ -667,7 +655,7 @@ mod tests {
         m.submit_query(NodeId(2), NodeId(4));
         m.run(3);
         assert!(m.answer(NodeId(2), NodeId(4)).expect("answered") > 0.7);
-        m.forget_subject(NodeId(4));
+        forget_subject_in(&mut m.stores, &mut m.answers, &mut m.truth, NodeId(4));
         assert_eq!(m.answer(NodeId(2), NodeId(4)), None, "answers cleared");
         assert_eq!(m.oracle(NodeId(4)), 0.5, "truth reset to the prior");
         m.submit_query(NodeId(2), NodeId(4));

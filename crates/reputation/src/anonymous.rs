@@ -71,9 +71,6 @@ pub struct Anonymized<M> {
     inner: M,
     config: AnonymizationConfig,
     rng: SimRng,
-    stripped: u64,
-    flipped: u64,
-    total: u64,
 }
 
 impl<M: ReputationMechanism> Anonymized<M> {
@@ -87,42 +84,12 @@ impl<M: ReputationMechanism> Anonymized<M> {
             // tsn-lint: allow(no-unwrap, "documented contract: new() panics on a config that validate() rejects; fallible callers validate first")
             panic!("invalid anonymization config: {e}");
         }
-        Anonymized {
-            inner,
-            config,
-            rng,
-            stripped: 0,
-            flipped: 0,
-            total: 0,
-        }
+        Anonymized { inner, config, rng }
     }
 
     /// The wrapped mechanism.
     pub fn inner(&self) -> &M {
         &self.inner
-    }
-
-    /// Consumes the wrapper, returning the inner mechanism.
-    pub fn into_inner(self) -> M {
-        self.inner
-    }
-
-    /// Fraction of reports whose identity was stripped so far.
-    pub fn observed_strip_rate(&self) -> f64 {
-        if self.total == 0 {
-            0.0
-        } else {
-            self.stripped as f64 / self.total as f64
-        }
-    }
-
-    /// Fraction of reports whose outcome was flipped so far.
-    pub fn observed_flip_rate(&self) -> f64 {
-        if self.total == 0 {
-            0.0
-        } else {
-            self.flipped as f64 / self.total as f64
-        }
     }
 }
 
@@ -136,16 +103,13 @@ impl<M: ReputationMechanism> ReputationMechanism for Anonymized<M> {
     }
 
     fn record(&mut self, report: &ReportView) {
-        self.total += 1;
         let mut sanitized = *report;
         if sanitized.rater.is_some() && self.rng.gen_bool(self.config.strip_probability) {
             sanitized.rater = None;
-            self.stripped += 1;
         }
         if self.rng.gen_bool(self.config.flip_probability) {
             sanitized.success = !sanitized.success;
             sanitized.quality = sanitized.quality.map(|q| 1.0 - q);
-            self.flipped += 1;
         }
         self.inner.record(&sanitized);
     }
@@ -190,11 +154,39 @@ mod tests {
         })
     }
 
+    /// An inner mechanism that keeps every view the wrapper hands on.
+    #[derive(Debug, Default)]
+    struct Seen(Vec<ReportView>);
+
+    impl ReputationMechanism for Seen {
+        fn kind(&self) -> MechanismKind {
+            MechanismKind::Beta
+        }
+        fn resize(&mut self, _: usize) {}
+        fn record(&mut self, report: &ReportView) {
+            self.0.push(*report);
+        }
+        fn refresh(&mut self) -> usize {
+            0
+        }
+        fn score(&self, _: NodeId) -> f64 {
+            0.5
+        }
+        fn len(&self) -> usize {
+            2
+        }
+    }
+
+    /// Fraction of the views `wrapped` handed on that satisfy `pred`.
+    fn seen_rate(wrapped: &Anonymized<Seen>, pred: impl Fn(&ReportView) -> bool) -> f64 {
+        let seen = &wrapped.inner().0;
+        seen.iter().filter(|&r| pred(r)).count() as f64 / seen.len() as f64
+    }
+
     #[test]
     fn full_strip_removes_all_identities() {
-        let inner = BetaReputation::new(2);
         let mut wrapped = Anonymized::new(
-            inner,
+            Seen::default(),
             AnonymizationConfig {
                 strip_probability: 1.0,
                 flip_probability: 0.0,
@@ -204,16 +196,14 @@ mod tests {
         for _ in 0..50 {
             wrapped.record(&report(true));
         }
-        assert_eq!(wrapped.observed_strip_rate(), 1.0);
-        assert_eq!(wrapped.observed_flip_rate(), 0.0);
-        assert!(wrapped.score(NodeId(1)) > 0.9);
+        assert_eq!(seen_rate(&wrapped, |r| r.rater.is_none()), 1.0);
+        assert_eq!(seen_rate(&wrapped, |r| !r.success), 0.0);
     }
 
     #[test]
     fn flip_rate_matches_configuration() {
-        let inner = BetaReputation::new(2);
         let mut wrapped = Anonymized::new(
-            inner,
+            Seen::default(),
             AnonymizationConfig {
                 strip_probability: 0.0,
                 flip_probability: 0.25,
@@ -223,7 +213,8 @@ mod tests {
         for _ in 0..4000 {
             wrapped.record(&report(true));
         }
-        let rate = wrapped.observed_flip_rate();
+        assert_eq!(seen_rate(&wrapped, |r| r.rater.is_none()), 0.0);
+        let rate = seen_rate(&wrapped, |r| !r.success);
         assert!((rate - 0.25).abs() < 0.03, "flip rate {rate}");
     }
 
@@ -293,19 +284,5 @@ mod tests {
         .validate()
         .is_err());
         assert!(AnonymizationConfig::default().validate().is_ok());
-    }
-
-    #[test]
-    fn into_inner_returns_mechanism() {
-        let mut wrapped = Anonymized::new(
-            BetaReputation::new(2),
-            AnonymizationConfig::default(),
-            SimRng::seed_from_u64(4),
-        );
-        for _ in 0..10 {
-            wrapped.record(&report(true));
-        }
-        let inner = wrapped.into_inner();
-        assert!(inner.score(NodeId(1)) > 0.8);
     }
 }

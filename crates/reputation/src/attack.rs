@@ -62,15 +62,6 @@ impl BehaviorClass {
         }
     }
 
-    /// Whether the node lies when rating, by the interaction-count
-    /// trigger only (see [`BehaviorClass::is_adversarial_provider`] for
-    /// the caveat: [`Population::is_adversarial`] additionally applies
-    /// the time-based traitor deadline and is what the production
-    /// feedback path uses).
-    pub fn lies_in_feedback(self, served: u64) -> bool {
-        self.is_adversarial_provider(served)
-    }
-
     /// Short label for experiment tables.
     pub fn label(self) -> &'static str {
         match self {
@@ -181,12 +172,6 @@ impl PopulationConfig {
             return Err("ring_size must be positive".into());
         }
         Ok(())
-    }
-
-    /// The total adversarial fraction (nodes that serve badly at some
-    /// point).
-    pub fn adversarial_fraction(&self) -> f64 {
-        self.malicious + self.traitor + self.whitewasher + self.colluder
     }
 }
 
@@ -367,7 +352,7 @@ impl Population {
             }
             // Traitors lie once turned — by served count *or* by the
             // clock (a traitor that is never selected as provider must
-            // still betray; `lies_in_feedback` alone would keep it
+            // still betray; the served-count trigger alone would keep it
             // truthful forever).
             _ if self.is_adversarial(rater) => {
                 // Invert the truth.
@@ -611,10 +596,6 @@ mod tests {
         };
         assert!(config.validate().is_err());
         assert!(PopulationConfig::default().validate().is_ok());
-        assert_eq!(
-            PopulationConfig::with_malicious(0.3).adversarial_fraction(),
-            0.3
-        );
     }
 
     #[test]

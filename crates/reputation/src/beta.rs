@@ -37,47 +37,25 @@ pub struct BetaReputation {
     pos: Vec<f64>,
     /// Negative pseudo-counts per node (prior adds 1).
     neg: Vec<f64>,
-    /// Exponential aging factor applied on [`ReputationMechanism::refresh`];
-    /// 1.0 disables aging.
-    aging: f64,
     /// Whether to weight reports by rater credibility when identities are
     /// available.
     credibility_weighting: bool,
 }
 
 impl BetaReputation {
-    /// Creates an instance for `n` nodes with credibility weighting on and
-    /// no aging.
+    /// Creates an instance for `n` nodes with credibility weighting on.
     pub fn new(n: usize) -> Self {
         BetaReputation {
             pos: vec![0.0; n],
             neg: vec![0.0; n],
-            aging: 1.0,
             credibility_weighting: true,
         }
-    }
-
-    /// Sets the aging factor in `(0, 1]`; each `refresh` multiplies all
-    /// counts by it, fading old evidence.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `aging` is not in `(0, 1]`.
-    pub fn with_aging(mut self, aging: f64) -> Self {
-        assert!(aging > 0.0 && aging <= 1.0, "aging must be in (0,1]");
-        self.aging = aging;
-        self
     }
 
     /// Disables rater-credibility weighting (used by ablations).
     pub fn without_credibility_weighting(mut self) -> Self {
         self.credibility_weighting = false;
         self
-    }
-
-    /// Total evidence (positive + negative counts) about `node`.
-    pub fn evidence(&self, node: NodeId) -> f64 {
-        self.pos[node.index()] + self.neg[node.index()]
     }
 }
 
@@ -114,14 +92,7 @@ impl ReputationMechanism for BetaReputation {
     }
 
     fn refresh(&mut self) -> usize {
-        if self.aging < 1.0 {
-            for x in self.pos.iter_mut().chain(self.neg.iter_mut()) {
-                *x *= self.aging;
-            }
-            1
-        } else {
-            0
-        }
+        0 // scores are read straight off the counts
     }
 
     fn score(&self, node: NodeId) -> f64 {
@@ -143,8 +114,8 @@ impl ReputationMechanism for BetaReputation {
     }
 
     fn snapshot_state(&self) -> Option<Vec<u8>> {
-        // Evolving state is exactly the two pseudo-count vectors; aging
-        // and credibility weighting are construction-time configuration
+        // Evolving state is exactly the two pseudo-count vectors;
+        // credibility weighting is construction-time configuration
         // (see the trait's restore contract).
         let mut w = tsn_simnet::ByteWriter::new();
         w.put_u64(self.pos.len() as u64);
@@ -244,7 +215,7 @@ mod tests {
         m.record(&full.view(&report));
         // α = 0.5+1, β = 0.5+1 → 0.5
         assert!((m.score(NodeId(1)) - 0.5).abs() < 1e-12);
-        assert_eq!(m.evidence(NodeId(1)), 1.0);
+        assert_eq!(m.pos[1] + m.neg[1], 1.0, "one unit of evidence");
     }
 
     #[test]
@@ -289,36 +260,6 @@ mod tests {
             m.record(&view(1, 1, true, &full));
         }
         assert_eq!(m.score(NodeId(1)), 0.5);
-    }
-
-    #[test]
-    fn aging_fades_evidence() {
-        let full = DisclosurePolicy::full();
-        let mut m = BetaReputation::new(2)
-            .with_aging(0.5)
-            .without_credibility_weighting();
-        for _ in 0..8 {
-            m.record(&view(0, 1, true, &full));
-        }
-        let before = m.score(NodeId(1));
-        for _ in 0..10 {
-            m.refresh();
-        }
-        let after = m.score(NodeId(1));
-        assert!(
-            after < before,
-            "aged score {after} should drop from {before}"
-        );
-        assert!(
-            (after - 0.5).abs() < 0.01,
-            "evidence fades back toward the prior"
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "aging must be in (0,1]")]
-    fn invalid_aging_panics() {
-        let _ = BetaReputation::new(1).with_aging(0.0);
     }
 
     #[test]

@@ -104,14 +104,6 @@ impl ProviderIntentions {
         })
     }
 
-    /// Whether serving a request on `topic` matches intentions.
-    pub fn intends_topic(&self, topic: Option<usize>) -> bool {
-        match topic {
-            None => true,
-            Some(t) => self.preferred_topics.is_empty() || self.preferred_topics.contains(&t),
-        }
-    }
-
     /// Adequacy of the current `load` against intended capacity: 1 while
     /// within capacity, decaying once overloaded.
     pub fn load_adequacy(&self, load: u32) -> f64 {
@@ -157,16 +149,6 @@ mod tests {
         assert!(ConsumerIntentions::new([], 1.5, 0.5).is_err());
         assert!(ConsumerIntentions::new([], 0.5, -0.1).is_err());
         assert!(ConsumerIntentions::new([], 0.5, 0.5).is_ok());
-    }
-
-    #[test]
-    fn provider_topic_intentions() {
-        let p = ProviderIntentions::new([1, 2], 5).unwrap();
-        assert!(p.intends_topic(Some(1)));
-        assert!(!p.intends_topic(Some(3)));
-        assert!(p.intends_topic(None), "untopiced requests are acceptable");
-        let open = ProviderIntentions::default();
-        assert!(open.intends_topic(Some(42)));
     }
 
     #[test]

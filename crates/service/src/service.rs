@@ -50,7 +50,7 @@ use tsn_reputation::{
     build_mechanism, DisclosurePolicy, FeedbackReport, MechanismKind, ReputationMechanism,
 };
 use tsn_simnet::codec::{crc32, ByteReader, ByteWriter};
-use tsn_simnet::{GroupMap, NodeId, PartitionWindow, SimDuration, SimTime};
+use tsn_simnet::{GroupMap, NodeId, PartitionWindow, SimDuration, SimTime, MAX_NODES};
 
 /// Magic bytes opening every checkpoint.
 pub const CHECKPOINT_MAGIC: &[u8; 8] = b"TSNSVCKP";
@@ -205,6 +205,12 @@ impl ServiceConfig {
     pub fn validate(&self) -> Result<(), String> {
         if self.nodes == 0 {
             return Err("nodes must be positive".into());
+        }
+        if self.nodes > MAX_NODES {
+            return Err(format!(
+                "nodes must be at most {MAX_NODES}, got {}",
+                self.nodes
+            ));
         }
         if self.epoch == SimDuration::ZERO {
             return Err("epoch must be positive".into());

@@ -234,21 +234,6 @@ impl ChurnProcess {
     }
 }
 
-/// Computes the steady-state expected availability of a node under a churn
-/// configuration: `up / (up + down)`.
-pub fn expected_availability(config: &ChurnConfig) -> f64 {
-    let up = config.mean_session.as_secs_f64();
-    let down = config.mean_downtime.as_secs_f64();
-    up / (up + down)
-}
-
-/// The expected fraction of rejoin events that are whitewashes after `t`
-/// of simulated time is simply the configured probability; exposed for
-/// experiment sanity checks.
-pub fn expected_whitewash_rate(config: &ChurnConfig) -> f64 {
-    config.whitewash_probability
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -353,13 +338,6 @@ mod tests {
             ChurnEvent::Whitewash(NodeId(1), NodeId(2)).online_identity(),
             Some(NodeId(2))
         );
-    }
-
-    #[test]
-    fn availability_formula() {
-        let a = expected_availability(&cfg());
-        assert!((a - 0.8).abs() < 1e-12);
-        assert_eq!(expected_whitewash_rate(&cfg()), 0.3);
     }
 
     #[test]

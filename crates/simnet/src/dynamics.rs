@@ -149,15 +149,6 @@ pub struct DynamicsPlan {
 }
 
 impl DynamicsPlan {
-    /// Whether this plan changes anything at all.
-    pub fn is_static(&self) -> bool {
-        self.churn.is_none()
-            && self.initial_offline == 0.0
-            && self.partitions.is_empty()
-            && self.regions.is_none()
-            && self.outages.is_empty()
-    }
-
     /// Validates the plan.
     ///
     /// # Errors
@@ -809,7 +800,6 @@ mod tests {
     #[test]
     fn static_plan_is_a_no_op() {
         let plan = DynamicsPlan::default();
-        assert!(plan.is_static());
         let mut runtime = DynamicsRuntime::new(plan, 8, SimRng::seed_from_u64(1)).unwrap();
         let mut net = network(8);
         runtime.install(&mut net);
@@ -1181,7 +1171,6 @@ mod tests {
         let plan =
             DynamicsPlan::bootstrap_storm(SimDuration::from_secs(3600), SimDuration::from_secs(1));
         assert!(plan.validate().is_ok());
-        assert!(!plan.is_static());
         let mut runtime = DynamicsRuntime::new(plan, 200, SimRng::seed_from_u64(22)).unwrap();
         assert!(runtime.availability() < 0.2, "95% start offline");
         runtime.advance_detached(SimTime::from_secs(10));

@@ -111,11 +111,6 @@ pub struct FaultPlan {
 }
 
 impl FaultPlan {
-    /// Whether the plan injects nothing.
-    pub fn is_quiet(&self) -> bool {
-        self.process.is_empty() && self.storage.is_empty()
-    }
-
     /// Validates the plan.
     ///
     /// # Errors
@@ -178,19 +173,6 @@ impl FaultPlan {
                 target: FaultTarget::Replica(index),
                 at,
                 restart_after: downtime,
-            }],
-            ..FaultPlan::default()
-        }
-    }
-
-    /// Preset: every checkpoint written in `[start, end)` is torn,
-    /// keeping 60 % of its bytes.
-    pub fn torn_checkpoints(start: SimTime, end: SimTime) -> Self {
-        FaultPlan {
-            storage: vec![StorageFault {
-                start,
-                end,
-                kind: StorageFaultKind::Truncate { keep_fraction: 0.6 },
             }],
             ..FaultPlan::default()
         }
@@ -366,14 +348,12 @@ mod tests {
         };
         assert!(ok.validate().is_ok());
         assert!(FaultPlan::default().validate().is_ok());
-        assert!(FaultPlan::default().is_quiet());
         for preset in [
             FaultPlan::service_crash(secs(5), SimDuration::from_secs(2)),
-            FaultPlan::torn_checkpoints(secs(0), SimTime::MAX),
             FaultPlan::bit_rot(secs(0), SimTime::MAX),
         ] {
             preset.validate().expect("presets validate");
-            assert!(!preset.is_quiet());
+            assert_ne!(preset, FaultPlan::default(), "presets inject faults");
         }
     }
 
@@ -422,7 +402,15 @@ mod tests {
         let original: Vec<u8> = (0..100u8).collect();
         let previous: Vec<u8> = vec![0xEE; 40];
 
-        let torn = FaultInjector::new(FaultPlan::torn_checkpoints(secs(0), secs(100)), 5).unwrap();
+        let torn_plan = FaultPlan {
+            storage: vec![StorageFault {
+                start: secs(0),
+                end: secs(100),
+                kind: StorageFaultKind::Truncate { keep_fraction: 0.6 },
+            }],
+            ..FaultPlan::default()
+        };
+        let torn = FaultInjector::new(torn_plan, 5).unwrap();
         let mut bytes = original.clone();
         let applied = torn.corrupt_checkpoint(&mut bytes, Some(&previous), secs(50), 0);
         assert_eq!(bytes.len(), 60, "keep_fraction 0.6 of 100 bytes");

@@ -45,7 +45,7 @@
 //! let b = net.add_node();
 //! net.send(a, b, "hello".into());
 //! assert_eq!(net.advance_to(SimTime::from_secs(1)), 1);
-//! assert_eq!(net.take_inbox(b).len(), 1);
+//! assert_eq!(net.inbox_len(b), 1);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -72,9 +72,7 @@ pub use dynamics::{DynamicsEvent, DynamicsPlan, DynamicsRuntime, PartitionWindow
 pub use faults::{
     FaultInjector, FaultPlan, FaultTarget, ProcessFault, StorageFault, StorageFaultKind,
 };
-pub use latency::{
-    BernoulliLoss, ConstantLatency, LatencyModel, LossModel, NoLoss, UniformLatency, WanLatency,
-};
+pub use latency::{BernoulliLoss, ConstantLatency, LatencyModel, LossModel, NoLoss, WanLatency};
 pub use membership::{
     MembershipConfig, MembershipRuntime, PartialView, ShuffleStats, ViewEntry, MEMBERSHIP_SEED_SALT,
 };
@@ -94,6 +92,11 @@ pub use time::{SimDuration, SimTime};
 /// into per-node vectors throughout the workspace.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct NodeId(pub u32);
+
+/// The largest population a scenario or service configuration may ask
+/// for: 4× the 1M-node runs the round engine is built for, and far
+/// below `u32::MAX`, past which [`NodeId::from_index`] panics.
+pub const MAX_NODES: usize = 1 << 22;
 
 impl NodeId {
     /// Returns the dense index of this node.

@@ -14,10 +14,6 @@ pub struct MessageId(pub u64);
 /// hot path never allocates, clones or hashes a `String`: comparison is
 /// a pointer check with a content fallback, and the wire size is the
 /// tag's byte length (identical to the pre-interning accounting).
-///
-/// Dynamically built tag names go through [`Tag::intern`], which leaks
-/// one copy per distinct name into a process-wide registry — bounded by
-/// the protocol vocabulary, not by traffic.
 #[derive(Debug, Clone, Copy)]
 pub struct Tag(&'static str);
 
@@ -26,22 +22,6 @@ impl Tag {
     /// `const PUSHSUM: Tag = Tag::new("pushsum");`.
     pub const fn new(name: &'static str) -> Self {
         Tag(name)
-    }
-
-    /// Interns a dynamically built tag name: one leak per distinct
-    /// name, the same handle ever after.
-    pub fn intern(name: &str) -> Self {
-        use std::sync::{Mutex, OnceLock};
-        static REGISTRY: OnceLock<Mutex<Vec<&'static str>>> = OnceLock::new();
-        let registry = REGISTRY.get_or_init(|| Mutex::new(Vec::new()));
-        // tsn-lint: allow(no-unwrap, "registry poisoning implies a prior panic while interning; propagating the panic is the design")
-        let mut registry = registry.lock().expect("tag registry poisoned");
-        if let Some(existing) = registry.iter().find(|s| **s == name) {
-            return Tag(existing);
-        }
-        let leaked: &'static str = Box::leak(name.to_owned().into_boxed_str());
-        registry.push(leaked);
-        Tag(leaked)
     }
 
     /// The tag name.
@@ -57,9 +37,9 @@ impl Tag {
 
 impl PartialEq for Tag {
     fn eq(&self, other: &Self) -> bool {
-        // Interned/const tags usually share the allocation: pointer
-        // equality is the fast path, content equality keeps mixed
-        // provenance (e.g. `intern` vs `new`) correct.
+        // Const tags usually share the allocation: pointer equality is
+        // the fast path, content equality keeps mixed provenance (a
+        // runtime-built name vs a literal) correct.
         std::ptr::eq(self.0, other.0) || self.0 == other.0
     }
 }
@@ -190,20 +170,10 @@ mod tests {
     fn tags_compare_by_content_across_provenance() {
         const PUSHSUM: Tag = Tag::new("pushsum");
         assert_eq!(PUSHSUM, Tag::new("pushsum"));
-        assert_eq!(PUSHSUM, Tag::intern(&String::from("pushsum")));
+        let built: &'static str = Box::leak(String::from("pushsum").into_boxed_str());
+        assert_eq!(PUSHSUM, Tag::new(built));
         assert_ne!(PUSHSUM, Tag::new("other"));
         assert_eq!(PUSHSUM.as_str(), "pushsum");
         assert_eq!(PUSHSUM.wire_len(), 7);
-    }
-
-    #[test]
-    fn interning_is_idempotent() {
-        let a = Tag::intern("dyn.tag");
-        let b = Tag::intern(&format!("dyn.{}", "tag"));
-        assert_eq!(a, b);
-        assert!(
-            std::ptr::eq(a.as_str(), b.as_str()),
-            "same registry entry is handed back"
-        );
     }
 }

@@ -53,12 +53,6 @@ impl SimTime {
         self.0
     }
 
-    /// This time in (truncated) milliseconds.
-    #[inline]
-    pub const fn as_millis(self) -> u64 {
-        self.0 / 1_000
-    }
-
     /// This time in fractional seconds.
     #[inline]
     pub fn as_secs_f64(self) -> f64 {
@@ -219,7 +213,7 @@ mod tests {
     #[test]
     fn arithmetic_behaves() {
         let t = SimTime::from_millis(10) + SimDuration::from_millis(5);
-        assert_eq!(t.as_millis(), 15);
+        assert_eq!(t, SimTime::from_millis(15));
         assert_eq!(t - SimTime::from_millis(10), SimDuration::from_millis(5));
         // saturating: earlier.duration_since(later) == 0
         assert_eq!(SimTime::ZERO.duration_since(t), SimDuration::ZERO);

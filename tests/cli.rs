@@ -68,6 +68,16 @@ fn counts_the_command_cannot_honour_are_errors() {
 }
 
 #[test]
+fn size_inputs_past_their_bounds_are_errors() {
+    rejects("scenario --nodes 18446744073709551615 --rounds 1", "nodes");
+    rejects(
+        "scenario --nodes 10 --rounds 18446744073709551615",
+        "rounds",
+    );
+    rejects("serve --nodes 18446744073709551615 --epochs 1", "nodes");
+}
+
+#[test]
 fn kill_primary_alone_runs_two_replicas() {
     let (_, err) = accepts("serve --nodes 20 --epochs 2 --seed 3 --kill-primary-at 30");
     assert!(err.contains("replica set: 2 members"), "{err}");

@@ -5,14 +5,14 @@
 //! 1. **The workspace is clean.** `lint_workspace` over this repository
 //!    must report zero findings and zero unjustified pragmas — the same
 //!    gate CI runs via `cargo run -p tsn-lint`.
-//! 2. **Every rule actually fires.** For each of the six shipped rules,
-//!    a planted violation must produce exactly the expected finding; a
-//!    rule that silently stops matching would otherwise rot unnoticed
-//!    behind obligation 1.
+//! 2. **Every rule actually fires.** For each of the seven shipped
+//!    rules, a planted violation must produce exactly the expected
+//!    finding; a rule that silently stops matching would otherwise rot
+//!    unnoticed behind obligation 1.
 
 use std::path::Path;
 
-use tsn_lint::engine::{classify, lint_source, lint_workspace};
+use tsn_lint::engine::{classify, lint_source, lint_sources, lint_workspace};
 use tsn_lint::lexer::lex;
 use tsn_lint::rules::{check_crate_root, check_lockfile, FileScope, Finding, RuleId};
 
@@ -183,6 +183,115 @@ version = "0.1.0"
 "#;
     let (findings, _) = check_lockfile(clean, &members);
     assert!(findings.is_empty());
+}
+
+// ---------------------------------------------------------------------
+// orphan-pub: a fixture workspace per case, since callers live in other
+// files.
+// ---------------------------------------------------------------------
+
+/// Every finding over a fixture workspace, as `(rule, path, line)`.
+fn workspace_findings(files: &[(&str, &str)]) -> Vec<(RuleId, String, usize)> {
+    lint_sources(files)
+        .into_iter()
+        .map(|f| (f.rule, f.path, f.line))
+        .collect()
+}
+
+fn orphan(path: &str, line: usize) -> (RuleId, String, usize) {
+    (RuleId::OrphanPub, path.to_string(), line)
+}
+
+const UTIL: &str = "crates/a/src/util.rs";
+
+#[test]
+fn rule_orphan_pub_flags_an_item_with_no_caller() {
+    let src = "pub fn lonely() {}\npub(crate) fn internal() {}\npub mod nested {}\n";
+    assert_eq!(workspace_findings(&[(UTIL, src)]), vec![orphan(UTIL, 1)]);
+}
+
+#[test]
+fn rule_orphan_pub_ignores_callers_in_its_own_cfg_test() {
+    let src = "pub fn helper() {}\n#[cfg(test)]\nmod tests {\n    fn t() { super::helper(); }\n}\n";
+    assert_eq!(workspace_findings(&[(UTIL, src)]), vec![orphan(UTIL, 1)]);
+}
+
+#[test]
+fn rule_orphan_pub_ignores_pub_use_reexports() {
+    let root = "#![forbid(unsafe_code)]\npub mod util;\npub use util::exported;\n";
+    let files = [
+        ("crates/a/src/lib.rs", root),
+        (UTIL, "pub fn exported() {}\n"),
+    ];
+    assert_eq!(workspace_findings(&files), vec![orphan(UTIL, 1)]);
+}
+
+#[test]
+fn rule_orphan_pub_flags_helpers_only_orphans_call() {
+    let src = "pub fn outer() {\n    inner();\n}\npub fn inner() {}\n";
+    let expected = vec![orphan(UTIL, 1), orphan(UTIL, 4)];
+    assert_eq!(workspace_findings(&[(UTIL, src)]), expected);
+}
+
+#[test]
+fn rule_orphan_pub_flags_methods_of_an_orphan_type() {
+    // `new` is a live name (`Live::new` has a caller), but a method of a
+    // type nothing names cannot be reached.
+    let files = [
+        (
+            UTIL,
+            "pub struct Ghost;\nimpl Ghost {\n    pub fn new() -> Self { Ghost }\n}\n",
+        ),
+        (
+            "crates/b/src/live.rs",
+            "pub struct Live;\nimpl Live {\n    pub fn new() -> Self { Live }\n}\n",
+        ),
+        ("tests/it.rs", "fn t() { let _ = b::live::Live::new(); }\n"),
+    ];
+    let expected = vec![orphan(UTIL, 1), orphan(UTIL, 3)];
+    assert_eq!(workspace_findings(&files), expected);
+}
+
+#[test]
+fn rule_orphan_pub_spares_callers_elsewhere() {
+    let callers = [
+        (
+            "crates/a/src/other.rs",
+            "fn user() { crate::util::shared(); }\n",
+        ),
+        ("tests/it.rs", "fn t() { a::util::shared(); }\n"),
+        // Read for callers only: perfbench's wall-clock timing is not linted.
+        (
+            "perfbench/src/main.rs",
+            "fn main() {\n    let _t = std::time::Instant::now();\n    a::util::shared();\n}\n",
+        ),
+    ];
+    for caller in callers {
+        let files = [(UTIL, "pub fn shared() {}\n"), caller];
+        assert!(
+            workspace_findings(&files).is_empty(),
+            "{} not seen",
+            caller.0
+        );
+    }
+}
+
+#[test]
+fn rule_orphan_pub_misses_an_orphan_sharing_a_live_name() {
+    // Matching is by name: the uncalled `twin` in `two.rs` stays hidden
+    // behind the called one in `one.rs` (a documented false negative).
+    let files = [
+        ("crates/a/src/one.rs", "pub fn twin() {}\n"),
+        ("crates/b/src/two.rs", "pub fn twin() {}\n"),
+        ("tests/it.rs", "fn t() { a::one::twin(); }\n"),
+    ];
+    assert!(workspace_findings(&files).is_empty());
+}
+
+#[test]
+fn rule_orphan_pub_honours_a_justified_pragma() {
+    let src = "// tsn-lint: allow(orphan-pub, \"fixture: intended API\")\npub fn reserved() {}\n";
+    assert!(workspace_findings(&[(UTIL, src)]).is_empty());
 }
 
 // ---------------------------------------------------------------------

@@ -17,7 +17,8 @@
 
 use tsn::prelude::*;
 use tsn::reputation::{build_mechanism, DisclosurePolicy, FeedbackReport};
-use tsn::service::ServiceEvent;
+use tsn::service::{checkpoint_sections, ServiceEvent};
+use tsn::simnet::codec::crc32;
 
 fn workload(nodes: usize, seed: u64) -> (ServiceDriver, TrustService) {
     let driver = ServiceDriver::new(DriverConfig {
@@ -271,4 +272,32 @@ fn staleness_is_bounded_by_one_epoch() {
             "answers reflect epoch boundaries only"
         );
     }
+}
+
+#[test]
+fn restore_bounds_the_node_count_behind_a_valid_crc() {
+    // CRCs only catch plain corruption: a config section rewritten with
+    // its CRC recomputed reaches the decoder, which must still refuse an
+    // unallocatable population by name.
+    let service = TrustService::new(ServiceConfig {
+        nodes: 8,
+        ..ServiceConfig::default()
+    })
+    .expect("valid");
+    let mut bytes = service.checkpoint().expect("checkpoint");
+    let config = checkpoint_sections(&bytes).expect("framing")[0];
+    assert_eq!(config.name, "config");
+    // `nodes` leads the config payload as a little-endian u64; the
+    // section's CRC sits before its u64 length prefix.
+    let payload = config.offset..config.offset + config.len;
+    bytes[config.offset..config.offset + 8].copy_from_slice(&u64::MAX.to_le_bytes());
+    let crc = crc32(&bytes[payload]).to_le_bytes();
+    let crc_at = config.offset - 8 - 4;
+    bytes[crc_at..crc_at + 4].copy_from_slice(&crc);
+    assert!(checkpoint_sections(&bytes)
+        .expect("framing")
+        .iter()
+        .all(|s| s.crc_ok));
+    let err = TrustService::restore_with_cursor(&bytes).expect_err("nodes out of range");
+    assert!(err.contains("nodes"), "{err}");
 }
