@@ -16,15 +16,7 @@ fn gossip_instance(n: usize) -> GossipNetwork {
     for _ in 0..n {
         network.add_node();
     }
-    let mut gossip = GossipNetwork::new(
-        graph,
-        network,
-        GossipConfig {
-            subjects: n,
-            ..Default::default()
-        },
-        rng.fork(2),
-    );
+    let mut gossip = GossipNetwork::new(graph, network, GossipConfig::default(), rng.fork(2));
     for i in 0..n {
         gossip.observe(NodeId::from_index(i), (i * 7) % n, 0.8);
     }

@@ -23,8 +23,7 @@
 
 use tsn_bench::harness::{Bench, BenchSuite};
 use tsn_service::{
-    DriverConfig, HostConfig, ReplicaConfig, ReplicaSet, RetryPolicy, ServiceConfig, ServiceDriver,
-    ServiceOp,
+    DriverConfig, HostConfig, ReplicaConfig, ReplicaSet, ServiceConfig, ServiceDriver, ServiceOp,
 };
 use tsn_simnet::{SimDuration, SimTime};
 
@@ -56,7 +55,7 @@ fn replica_config() -> ReplicaConfig {
 fn warmed_set(driver: &ServiceDriver) -> ReplicaSet {
     let mut set = ReplicaSet::new(replica_config()).expect("valid set");
     driver
-        .drive_replicas(&mut set, WARM_EPOCHS, &RetryPolicy::default())
+        .drive_replicas(&mut set, WARM_EPOCHS)
         .expect("clean warm-up");
     set
 }

@@ -20,8 +20,8 @@
 
 use tsn_bench::harness::{Bench, BenchSuite};
 use tsn_service::{
-    DriverConfig, EventJournal, HostConfig, JournalRecord, RetryPolicy, ServiceConfig,
-    ServiceDriver, ServiceHost, ServiceOp, TrustService,
+    DriverConfig, EventJournal, HostConfig, JournalRecord, ServiceConfig, ServiceDriver,
+    ServiceHost, ServiceOp, TrustService,
 };
 use tsn_simnet::{SimDuration, SimTime};
 
@@ -59,9 +59,7 @@ fn main() {
         ..HostConfig::default()
     })
     .expect("valid host");
-    driver
-        .drive_host(&mut host, EPOCHS, &RetryPolicy::default())
-        .expect("clean warm-up");
+    driver.drive_host(&mut host, EPOCHS).expect("clean warm-up");
     let bench = Bench::new("journal").samples(5).warmup(1);
 
     // ── Lane 1: journal append tax per acknowledged op ──────────────

@@ -59,10 +59,7 @@ fn run_gossip(loss: f64, seed: u64) -> (f64, u64, u64) {
     let mut gossip = GossipNetwork::new(
         graph,
         network(N, loss, seed ^ 0xAAAA),
-        GossipConfig {
-            subjects: N,
-            ..Default::default()
-        },
+        GossipConfig::default(),
         rng.fork(1),
     );
     for (observer, subject, value) in observations(seed ^ 0x55) {

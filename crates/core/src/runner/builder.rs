@@ -6,7 +6,7 @@ use crate::scenario::{Scenario, ScenarioOutcome, ROUND_DURATION};
 use tsn_reputation::{
     AnonymizationConfig, DisclosurePolicy, MechanismKind, PopulationConfig, SelectionPolicy,
 };
-use tsn_simnet::{DynamicsPlan, MembershipConfig, SimDuration, SimTime};
+use tsn_simnet::{DynamicsPlan, MembershipConfig, SimTime};
 
 /// The five rungs of the paper's disclosure ladder, as a type.
 ///
@@ -280,19 +280,6 @@ impl ScenarioBuilder {
         ))
     }
 
-    /// Preset: `groups` WAN regions. The regional latency map shapes
-    /// the *transport* layer (protocol-level runs); the abstract
-    /// scenario engine accepts and records the plan but its interaction
-    /// loop is latency-free, so outcomes are unchanged — use the
-    /// protocol crate's round driver to measure the latency cost.
-    pub fn wan_regions(self, groups: usize) -> Self {
-        self.dynamics(DynamicsPlan::wan_regions(
-            groups,
-            SimDuration::from_millis(10),
-            SimDuration::from_millis(150),
-        ))
-    }
-
     /// Preset: a whitewash economy — ~3-round sessions, 80 % of
     /// re-joins under a fresh identity that sheds its reputation.
     pub fn whitewash_attack(self) -> Self {
@@ -472,7 +459,6 @@ mod tests {
         for builder in [
             ScenarioBuilder::small().flash_crowd(),
             ScenarioBuilder::small().split_then_heal(2, 6),
-            ScenarioBuilder::small().wan_regions(3),
             ScenarioBuilder::small().whitewash_attack(),
         ] {
             let config = builder.build().expect("preset is valid");

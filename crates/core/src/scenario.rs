@@ -622,13 +622,7 @@ impl Scenario {
                     .filter(|&n| !population.is_adversarial(n))
                     .take(config.pretrusted)
                     .collect();
-                Box::new(tsn_reputation::EigenTrust::new(
-                    config.nodes,
-                    tsn_reputation::EigenTrustConfig {
-                        pretrusted,
-                        ..Default::default()
-                    },
-                ))
+                Box::new(tsn_reputation::EigenTrust::new(config.nodes, pretrusted))
             } else {
                 tsn_reputation::mechanism::build_mechanism(config.mechanism, config.nodes)
             };
@@ -686,7 +680,7 @@ impl Scenario {
             let capacity = user_rng.gen_range(3..9u32);
             users.push(UserState {
                 intentions,
-                provider_intentions: ProviderIntentions::new([], capacity)
+                provider_intentions: ProviderIntentions::new(capacity)
                     // tsn-lint: allow(no-unwrap, "capacity is drawn from gen_range(3..9), always positive")
                     .expect("capacity is positive"),
                 satisfaction: SatisfactionTracker::default(),

@@ -22,6 +22,10 @@ pub enum RuleId {
     /// Randomness that does not flow through `SimRng` — `thread_rng`,
     /// `rand::`, `RandomState`, `OsRng` reseed per process.
     ForeignRng,
+    /// Environment reads (`env::var`, `env::vars`, `env::args`, …) in
+    /// library code — a library result must be a pure function of
+    /// `(seed, config)`; bins, benches, tests and examples may read it.
+    EnvRead,
     /// `unwrap()` / `expect()` / `panic!` in library code outside
     /// `#[cfg(test)]` — crash paths must be designed, not implied.
     NoUnwrap,
@@ -40,10 +44,11 @@ pub enum RuleId {
 
 impl RuleId {
     /// All rules, in reporting order.
-    pub const ALL: [RuleId; 8] = [
+    pub const ALL: [RuleId; 9] = [
         RuleId::HashIter,
         RuleId::WallClock,
         RuleId::ForeignRng,
+        RuleId::EnvRead,
         RuleId::NoUnwrap,
         RuleId::ForbidUnsafe,
         RuleId::WorkspacePurity,
@@ -57,6 +62,7 @@ impl RuleId {
             RuleId::HashIter => "hash-iter",
             RuleId::WallClock => "wall-clock",
             RuleId::ForeignRng => "foreign-rng",
+            RuleId::EnvRead => "env-read",
             RuleId::NoUnwrap => "no-unwrap",
             RuleId::ForbidUnsafe => "forbid-unsafe",
             RuleId::WorkspacePurity => "workspace-purity",
@@ -125,9 +131,11 @@ pub fn run_file_rules(
     if scope == FileScope::Library {
         hash_iter(path, lexed, raw_lines, &mut findings);
         no_unwrap(path, lexed, raw_lines, &mut findings);
+        banned_words(ENV_READ, path, lexed, raw_lines, &mut findings);
     }
-    wall_clock(path, lexed, raw_lines, &mut findings);
-    foreign_rng(path, lexed, raw_lines, &mut findings);
+    for rule in [WALL_CLOCK, FOREIGN_RNG] {
+        banned_words(rule, path, lexed, raw_lines, &mut findings);
+    }
     findings.sort_by_key(|a| (a.line, a.rule));
     findings.dedup_by(|a, b| a.line == b.line && a.rule == b.rule);
     findings
@@ -165,49 +173,57 @@ pub(crate) fn is_ident_byte(b: u8) -> bool {
 }
 
 // ---------------------------------------------------------------------
-// Rule: wall-clock
+// Word-list rules: wall-clock, foreign-rng, env-read
 // ---------------------------------------------------------------------
 
-const WALL_CLOCK_PATTERNS: [&str; 3] = ["Instant::now", "SystemTime", "thread::sleep"];
+/// A rule that bans words: the rule, the words (matched at identifier
+/// boundaries on the code channel) and why, read as "`word` {why}".
+type WordRule = (RuleId, &'static [&'static str], &'static str);
 
-fn wall_clock(path: &str, lexed: &LexedFile, raw: &[&str], out: &mut Vec<Finding>) {
+const WALL_CLOCK: WordRule = (
+    RuleId::WallClock,
+    &["Instant::now", "SystemTime", "thread::sleep"],
+    "reads the wall clock — replayed code must use the sim clock (SimTime); justify \
+     timing-only uses with a pragma",
+);
+
+const FOREIGN_RNG: WordRule = (
+    RuleId::ForeignRng,
+    &["thread_rng", "rand::", "RandomState", "OsRng", "getrandom"],
+    "is a non-deterministic randomness source — all draws must flow through seeded SimRng \
+     streams",
+);
+
+const ENV_READ: WordRule = (
+    RuleId::EnvRead,
+    &[
+        "env::var",
+        "env::var_os",
+        "env::vars",
+        "env::vars_os",
+        "env::args",
+        "env::args_os",
+    ],
+    "reads the process environment in library code — a library result must be a pure \
+     function of (seed, config); take the value as a config field or read it in the binary",
+);
+
+/// Flags each line whose code channel holds one of the rule's words.
+fn banned_words(
+    (rule, words, why): WordRule,
+    path: &str,
+    lexed: &LexedFile,
+    raw: &[&str],
+    out: &mut Vec<Finding>,
+) {
     for (idx, code) in lexed.code.iter().enumerate() {
-        for pat in WALL_CLOCK_PATTERNS {
+        for pat in words {
             if !word_positions(code, pat).is_empty() {
                 out.push(Finding {
-                    rule: RuleId::WallClock,
+                    rule,
                     path: path.to_string(),
                     line: idx + 1,
-                    message: format!(
-                        "`{pat}` reads the wall clock — replayed code must use the sim \
-                         clock (SimTime); justify timing-only uses with a pragma"
-                    ),
-                    snippet: snippet(raw, idx + 1),
-                });
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// Rule: foreign-rng
-// ---------------------------------------------------------------------
-
-const FOREIGN_RNG_PATTERNS: [&str; 5] =
-    ["thread_rng", "rand::", "RandomState", "OsRng", "getrandom"];
-
-fn foreign_rng(path: &str, lexed: &LexedFile, raw: &[&str], out: &mut Vec<Finding>) {
-    for (idx, code) in lexed.code.iter().enumerate() {
-        for pat in FOREIGN_RNG_PATTERNS {
-            if !word_positions(code, pat).is_empty() {
-                out.push(Finding {
-                    rule: RuleId::ForeignRng,
-                    path: path.to_string(),
-                    line: idx + 1,
-                    message: format!(
-                        "`{pat}` is a non-deterministic randomness source — all draws \
-                         must flow through seeded SimRng streams"
-                    ),
+                    message: format!("`{pat}` {why}"),
                     snippet: snippet(raw, idx + 1),
                 });
             }

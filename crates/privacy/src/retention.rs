@@ -20,8 +20,6 @@ pub struct HeldCopy {
     pub holder: NodeId,
     /// What category.
     pub category: DataCategory,
-    /// When it was granted.
-    pub granted_at: SimTime,
     /// When it must be gone (owner's retention period).
     pub expires_at: SimTime,
 }
@@ -53,7 +51,6 @@ impl RetentionTracker {
             owner,
             holder,
             category: policy.category,
-            granted_at: now,
             expires_at: now.saturating_add(policy.retention),
         };
         self.live.push(copy);

@@ -13,13 +13,13 @@
 //! experiment quantifies.
 //!
 //! The implementation is built for scale: per-node state lives in one
-//! flat `n × 2·subjects` matrix whose row layout mirrors the wire
-//! format, so incoming halves are absorbed from *borrowed* envelope
-//! fields in a single contiguous add pass (no decode copies) and
-//! outgoing halves are a halve-in-place plus `extend_from_slice` into
-//! a pooled buffer — steady-state rounds allocate nothing
-//! (`tests/equivalence.rs` pins both the bit-identical outcomes and
-//! the zero-growth pool behaviour).
+//! flat `n × 2n` matrix (every node is a subject) whose row layout
+//! mirrors the wire format, so incoming halves are absorbed from
+//! *borrowed* envelope fields in a single contiguous add pass (no
+//! decode copies) and outgoing halves are a halve-in-place plus
+//! `extend_from_slice` into a pooled buffer — steady-state rounds
+//! allocate nothing (`tests/equivalence.rs` pins both the bit-identical
+//! outcomes and the zero-growth pool behaviour).
 
 use crate::host::{ProtocolCosts, RoundDriver};
 use tsn_graph::Graph;
@@ -34,8 +34,6 @@ const PUSHSUM: Tag = Tag::new("pushsum");
 /// Gossip parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GossipConfig {
-    /// Number of subjects being scored (usually the node count).
-    pub subjects: usize,
     /// Length of one gossip round.
     pub round_length: SimDuration,
 }
@@ -43,7 +41,6 @@ pub struct GossipConfig {
 impl Default for GossipConfig {
     fn default() -> Self {
         GossipConfig {
-            subjects: 0,
             round_length: SimDuration::from_millis(100),
         }
     }
@@ -63,15 +60,14 @@ pub struct GossipReport {
 /// The gossip protocol instance.
 #[derive(Debug)]
 pub struct GossipNetwork {
-    config: GossipConfig,
     driver: RoundDriver,
     graph: Graph,
     rng: SimRng,
     /// Push-sum weight per node.
     weight: Vec<f64>,
-    /// Per-node running (half-able) state, row-major with stride
-    /// `2 × subjects`: a node's row is `[sums… | counts…]` — exactly
-    /// the wire layout of a push-sum message after its weight field,
+    /// Per-node running (half-able) state, row-major with stride `2n`
+    /// (every node is a subject): a node's row is `[sums… | counts…]` —
+    /// exactly the wire layout of a push-sum message after its weight field,
     /// so absorbing and emitting are single contiguous slice passes.
     state: Vec<f64>,
     /// Ground-truth totals (for oracle comparison): (sum, count).
@@ -79,13 +75,13 @@ pub struct GossipNetwork {
 }
 
 impl GossipNetwork {
-    /// Builds the protocol over `graph` with a fresh network.
+    /// Builds the protocol over `graph` with a fresh network; every node
+    /// of `graph` is a subject.
     ///
     /// # Panics
     ///
-    /// Panics if `config.subjects` is zero.
+    /// Panics if `graph` and `network` disagree on the node count.
     pub fn new(graph: Graph, network: Network, config: GossipConfig, rng: SimRng) -> Self {
-        assert!(config.subjects > 0, "subjects must be positive");
         let n = graph.node_count();
         assert_eq!(
             n,
@@ -97,9 +93,8 @@ impl GossipNetwork {
             graph,
             rng,
             weight: vec![1.0; n],
-            state: vec![0.0; n * 2 * config.subjects],
-            truth: vec![(0.0, 0.0); config.subjects],
-            config,
+            state: vec![0.0; n * 2 * n],
+            truth: vec![(0.0, 0.0); n],
         }
     }
 
@@ -110,8 +105,8 @@ impl GossipNetwork {
     /// Panics if indices are out of range or `value` is not in `[0, 1]`.
     pub fn observe(&mut self, observer: NodeId, subject: usize, value: f64) {
         assert!((0.0..=1.0).contains(&value), "value must be in [0,1]");
-        assert!(subject < self.config.subjects, "subject out of range");
-        let subjects = self.config.subjects;
+        let subjects = self.graph.node_count();
+        assert!(subject < subjects, "subject out of range");
         let row = observer.index() * 2 * subjects;
         self.state[row + subject] += value;
         self.state[row + subjects + subject] += 1.0;
@@ -152,10 +147,9 @@ impl GossipNetwork {
             rng,
             weight,
             state,
-            config,
             ..
         } = self;
-        let subjects = config.subjects;
+        let subjects = graph.node_count();
         let stride = 2 * subjects;
         driver.round(|node, inbox, _, out| {
             let i = node.index();
@@ -219,8 +213,8 @@ impl GossipNetwork {
         if w <= 0.0 {
             return 0.5;
         }
-        let n = self.graph.node_count() as f64;
-        let subjects = self.config.subjects;
+        let subjects = self.graph.node_count();
+        let n = subjects as f64;
         let row = i * 2 * subjects;
         // Push-sum estimate of the network totals.
         let est_sum = self.state[row + subject] / w * n;
@@ -239,12 +233,13 @@ impl GossipNetwork {
         let mut max_error: f64 = 0.0;
         let mut total = 0.0;
         let mut samples = 0u64;
-        for i in 0..self.graph.node_count() {
+        let n = self.graph.node_count();
+        for i in 0..n {
             let node = NodeId::from_index(i);
             if !self.driver.network().is_alive(node) {
                 continue;
             }
-            for subject in 0..self.config.subjects {
+            for subject in 0..n {
                 let err = (self.estimate(node, subject) - self.oracle(subject)).abs();
                 max_error = max_error.max(err);
                 total += err;
@@ -307,11 +302,7 @@ mod tests {
         for _ in 0..n {
             network.add_node();
         }
-        let gossip_config = GossipConfig {
-            subjects: n,
-            ..GossipConfig::default()
-        };
-        GossipNetwork::new(graph, network, gossip_config, rng.fork(2))
+        GossipNetwork::new(graph, network, GossipConfig::default(), rng.fork(2))
     }
 
     fn seed_observations(g: &mut GossipNetwork, n: usize, seed: u64) {

@@ -1,9 +1,10 @@
 //! Adversary models — the behaviour vocabulary of Marti & Garcia-Molina's
 //! taxonomy (paper ref \[15\]) used across every experiment.
 //!
-//! A [`Population`] assigns each node a [`BehaviorClass`] and a
-//! ground-truth service quality; it answers the two questions every
-//! reputation experiment asks:
+//! A [`Population`] assigns each node a behaviour class (honest,
+//! malicious, selfish, traitor or colluder) and a ground-truth service
+//! quality; it answers the two questions every reputation experiment
+//! asks:
 //!
 //! * what *actually happens* when a consumer interacts with a provider
 //!   ([`Population::interact_frozen`], with [`Population::note_served`]
@@ -15,9 +16,14 @@ use crate::gathering::FeedbackReport;
 use crate::mechanism::InteractionOutcome;
 use tsn_simnet::{NodeId, SimRng, SimTime};
 
+/// Success probability of adversarial providers.
+const ADVERSARIAL_QUALITY: f64 = 0.1;
+/// Probability a selfish node refuses service.
+const SELFISH_REFUSAL: f64 = 0.6;
+
 /// How a node behaves as a provider and as a rater.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub enum BehaviorClass {
+enum BehaviorClass {
     /// Serves well; reports truthfully.
     Honest,
     /// Serves badly; lies in feedback (inverts outcomes) and praises
@@ -31,9 +37,6 @@ pub enum BehaviorClass {
         /// Interactions served honestly before the betrayal.
         switch_after: u64,
     },
-    /// Malicious node that periodically re-enters under a fresh identity
-    /// (the identity churn itself is driven by `tsn-simnet`'s churn).
-    Whitewasher,
     /// Member of collusion ring `ring`: serves outsiders badly, praises
     /// ring members unconditionally, badmouths outsiders.
     Colluder {
@@ -52,25 +55,11 @@ impl BehaviorClass {
     /// [`Population`] is available, ask [`Population::is_adversarial`]
     /// instead — judging a traitor by served count alone is exactly the
     /// stuck-traitor bug (never selected ⇒ never turns).
-    pub fn is_adversarial_provider(self, served: u64) -> bool {
+    fn is_adversarial_provider(self, served: u64) -> bool {
         match self {
             BehaviorClass::Honest | BehaviorClass::Selfish => false,
-            BehaviorClass::Malicious
-            | BehaviorClass::Whitewasher
-            | BehaviorClass::Colluder { .. } => true,
+            BehaviorClass::Malicious | BehaviorClass::Colluder { .. } => true,
             BehaviorClass::Traitor { switch_after } => served >= switch_after,
-        }
-    }
-
-    /// Short label for experiment tables.
-    pub fn label(self) -> &'static str {
-        match self {
-            BehaviorClass::Honest => "honest",
-            BehaviorClass::Malicious => "malicious",
-            BehaviorClass::Selfish => "selfish",
-            BehaviorClass::Traitor { .. } => "traitor",
-            BehaviorClass::Whitewasher => "whitewasher",
-            BehaviorClass::Colluder { .. } => "colluder",
         }
     }
 }
@@ -95,18 +84,12 @@ pub struct PopulationConfig {
     /// in every sweep. `None` disables the time trigger (interaction
     /// count only).
     pub traitor_switch_deadline: Option<SimTime>,
-    /// Fraction of whitewashers.
-    pub whitewasher: f64,
     /// Fraction of colluders (split into rings of `ring_size`).
     pub colluder: f64,
     /// Colluder ring size.
     pub ring_size: usize,
     /// Mean service quality of honest providers.
     pub honest_quality: f64,
-    /// Success probability of adversarial providers.
-    pub adversarial_quality: f64,
-    /// Probability a selfish node refuses service.
-    pub selfish_refusal: f64,
 }
 
 impl Default for PopulationConfig {
@@ -117,12 +100,9 @@ impl Default for PopulationConfig {
             traitor: 0.0,
             traitor_switch_after: 20,
             traitor_switch_deadline: None,
-            whitewasher: 0.0,
             colluder: 0.0,
             ring_size: 5,
             honest_quality: 0.9,
-            adversarial_quality: 0.1,
-            selfish_refusal: 0.6,
         }
     }
 }
@@ -143,13 +123,7 @@ impl PopulationConfig {
     ///
     /// Returns a description of the first invalid field.
     pub fn validate(&self) -> Result<(), String> {
-        let fractions = [
-            self.malicious,
-            self.selfish,
-            self.traitor,
-            self.whitewasher,
-            self.colluder,
-        ];
+        let fractions = [self.malicious, self.selfish, self.traitor, self.colluder];
         for f in fractions {
             if !(0.0..=1.0).contains(&f) {
                 return Err(format!("fraction {f} not in [0,1]"));
@@ -159,14 +133,11 @@ impl PopulationConfig {
         if total > 1.0 + 1e-9 {
             return Err(format!("fractions sum to {total} > 1"));
         }
-        for q in [
-            self.honest_quality,
-            self.adversarial_quality,
-            self.selfish_refusal,
-        ] {
-            if !(0.0..=1.0).contains(&q) {
-                return Err(format!("probability {q} not in [0,1]"));
-            }
+        if !(0.0..=1.0).contains(&self.honest_quality) {
+            return Err(format!(
+                "honest_quality {} not in [0,1]",
+                self.honest_quality
+            ));
         }
         if self.ring_size == 0 {
             return Err("ring_size must be positive".into());
@@ -230,9 +201,6 @@ impl Population {
                 switch_after: config.traitor_switch_after,
             });
         }
-        for _ in 0..count(config.whitewasher) {
-            classes.push(BehaviorClass::Whitewasher);
-        }
         while classes.len() < n {
             classes.push(BehaviorClass::Honest);
         }
@@ -245,8 +213,8 @@ impl Population {
                     // Per-node quality jitter around the honest mean.
                     (config.honest_quality + rng.gen_normal(0.0, 0.05)).clamp(0.0, 1.0)
                 }
-                BehaviorClass::Selfish => config.honest_quality * (1.0 - config.selfish_refusal),
-                _ => config.adversarial_quality,
+                BehaviorClass::Selfish => config.honest_quality * (1.0 - SELFISH_REFUSAL),
+                _ => ADVERSARIAL_QUALITY,
             })
             .collect();
         Population {
@@ -285,7 +253,7 @@ impl Population {
         let i = node.index();
         match self.classes[i] {
             BehaviorClass::Traitor { switch_after } if self.traitor_turned(i, switch_after) => {
-                self.config.adversarial_quality
+                ADVERSARIAL_QUALITY
             }
             _ => self.base_quality[i],
         }
@@ -388,15 +356,12 @@ mod tests {
         };
         let mut rng = SimRng::seed_from_u64(0);
         let pop = Population::new(100, config, &mut rng);
-        let count = |label: &str| {
-            (0..100)
-                .filter(|&i| pop.classes[i].label() == label)
-                .count()
-        };
-        assert_eq!(count("malicious"), 20);
-        assert_eq!(count("selfish"), 10);
-        assert_eq!(count("colluder"), 10);
-        assert_eq!(count("honest"), 60);
+        let count =
+            |matches: fn(&BehaviorClass) -> bool| pop.classes.iter().filter(|c| matches(c)).count();
+        assert_eq!(count(|c| matches!(c, BehaviorClass::Malicious)), 20);
+        assert_eq!(count(|c| matches!(c, BehaviorClass::Selfish)), 10);
+        assert_eq!(count(|c| matches!(c, BehaviorClass::Colluder { .. })), 10);
+        assert_eq!(count(|c| matches!(c, BehaviorClass::Honest)), 60);
     }
 
     #[test]

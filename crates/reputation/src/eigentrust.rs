@@ -33,50 +33,12 @@ use crate::mechanism::{MechanismKind, ReputationMechanism};
 use crate::walk::WalkMatrix;
 use tsn_simnet::NodeId;
 
-/// EigenTrust parameters.
-#[derive(Debug, Clone, PartialEq)]
-pub struct EigenTrustConfig {
-    /// Teleport probability toward pre-trusted peers (the paper's `a`).
-    pub alpha: f64,
-    /// Convergence threshold on the L1 change between iterations.
-    pub epsilon: f64,
-    /// Iteration cap per [`ReputationMechanism::refresh`].
-    pub max_iterations: usize,
-    /// Pre-trusted peers. Empty means "uniform prior over all peers",
-    /// which is the paper's fallback when no pre-trust exists.
-    pub pretrusted: Vec<NodeId>,
-}
-
-impl Default for EigenTrustConfig {
-    fn default() -> Self {
-        EigenTrustConfig {
-            alpha: 0.15,
-            epsilon: 1e-9,
-            max_iterations: 200,
-            pretrusted: Vec::new(),
-        }
-    }
-}
-
-impl EigenTrustConfig {
-    /// Validates parameter ranges.
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the first invalid field.
-    pub fn validate(&self) -> Result<(), String> {
-        if !(0.0..=1.0).contains(&self.alpha) {
-            return Err("alpha must be in [0,1]".into());
-        }
-        if self.epsilon <= 0.0 {
-            return Err("epsilon must be positive".into());
-        }
-        if self.max_iterations == 0 {
-            return Err("max_iterations must be positive".into());
-        }
-        Ok(())
-    }
-}
+/// Teleport probability toward pre-trusted peers (the paper's `a`).
+const ALPHA: f64 = 0.15;
+/// Convergence threshold on the L1 change between iterations.
+const EPSILON: f64 = 1e-9;
+/// Iteration cap per [`ReputationMechanism::refresh`].
+const MAX_ITERATIONS: usize = 200;
 
 /// One (rater, ratee) cell: `s_ij` (satisfactory − unsatisfactory) feeds
 /// the C matrix; the value mean feeds the trust-weighted opinion
@@ -91,7 +53,9 @@ struct LocalCell {
 /// The EigenTrust mechanism.
 #[derive(Debug, Clone)]
 pub struct EigenTrust {
-    config: EigenTrustConfig,
+    /// Pre-trusted peers. Empty means "uniform prior over all peers",
+    /// which is the paper's fallback when no pre-trust exists.
+    pretrusted: Vec<NodeId>,
     n: usize,
     /// Sparse local trust, updated in place by `record`.
     local: LocalMatrix<LocalCell>,
@@ -117,19 +81,12 @@ pub struct EigenTrust {
 }
 
 impl EigenTrust {
-    /// Creates an instance for `n` nodes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the configuration is invalid.
-    pub fn new(n: usize, config: EigenTrustConfig) -> Self {
-        if let Err(e) = config.validate() {
-            // tsn-lint: allow(no-unwrap, "documented contract: new() panics on a config that validate() rejects; fallible callers validate first")
-            panic!("invalid EigenTrust config: {e}");
-        }
-        let prior = Self::compute_prior(&config.pretrusted, n);
+    /// Creates an instance for `n` nodes whose walk teleports to the
+    /// `pretrusted` peers (uniformly to all peers when it is empty).
+    pub fn new(n: usize, pretrusted: Vec<NodeId>) -> Self {
+        let prior = Self::compute_prior(&pretrusted, n);
         EigenTrust {
-            config,
+            pretrusted,
             n,
             local: LocalMatrix::new(n),
             anon: vec![(0.0, 0); n],
@@ -143,11 +100,6 @@ impl EigenTrust {
             walk: WalkMatrix::default(),
             opinion_src: Vec::new(),
         }
-    }
-
-    /// The configuration in use.
-    pub fn config(&self) -> &EigenTrustConfig {
-        &self.config
     }
 
     /// The raw global trust distribution (sums to 1). Prefer
@@ -203,12 +155,9 @@ impl EigenTrust {
                 }
             },
         );
-        let iterations = self.walk.stationary(
-            &self.prior,
-            self.config.alpha,
-            self.config.epsilon,
-            self.config.max_iterations,
-        );
+        let iterations = self
+            .walk
+            .stationary(&self.prior, ALPHA, EPSILON, MAX_ITERATIONS);
         self.global.clear();
         self.global.extend_from_slice(self.walk.solution());
         // Cache the trust-weighted opinion aggregation for O(1) scoring,
@@ -272,7 +221,7 @@ impl ReputationMechanism for EigenTrust {
             self.anon.resize(n, (0.0, 0));
             self.opinion.resize(n, (0.0, 0.0));
             self.global = vec![1.0 / n as f64; n];
-            self.prior = Self::compute_prior(&self.config.pretrusted, n);
+            self.prior = Self::compute_prior(&self.pretrusted, n);
             self.dirty = true;
         }
     }
@@ -332,7 +281,7 @@ impl ReputationMechanism for EigenTrust {
         // `score` reads them without refreshing, so a restore that
         // dropped them would answer queries differently than the
         // snapshotted instance until the next refresh. `prior` is
-        // derived from configuration and `walk`/`opinion_src` are
+        // derived from `pretrusted` and `walk`/`opinion_src` are
         // rebuilt wholesale by `power_iterate`, so none of them travel.
         let mut w = tsn_simnet::ByteWriter::new();
         w.put_u64(self.n as u64);
@@ -430,7 +379,7 @@ mod tests {
 
     #[test]
     fn good_nodes_outrank_bad_nodes() {
-        let mut m = EigenTrust::new(4, EigenTrustConfig::default());
+        let mut m = EigenTrust::new(4, Vec::new());
         let full = DisclosurePolicy::full();
         // 0 and 1 praise each other and node 2; everyone reports node 3 bad.
         for _ in 0..5 {
@@ -448,7 +397,7 @@ mod tests {
 
     #[test]
     fn global_trust_is_a_distribution() {
-        let mut m = EigenTrust::new(5, EigenTrustConfig::default());
+        let mut m = EigenTrust::new(5, Vec::new());
         let full = DisclosurePolicy::full();
         for r in 0..5u32 {
             for e in 0..5u32 {
@@ -465,11 +414,7 @@ mod tests {
 
     #[test]
     fn pretrusted_peers_get_teleport_mass() {
-        let config = EigenTrustConfig {
-            pretrusted: vec![NodeId(0)],
-            ..Default::default()
-        };
-        let mut m = EigenTrust::new(3, config);
+        let mut m = EigenTrust::new(3, vec![NodeId(0)]);
         // No reports at all: stationary distribution = prior = all mass on 0.
         m.refresh();
         let t = m.global_trust();
@@ -484,11 +429,7 @@ mod tests {
         // Colluders 2 and 3 praise each other massively; the pretrusted
         // seed 0 rates 1 well and 3 badly. With identity-aware weighting,
         // 1 must outrank 3 despite 3 receiving more praise volume.
-        let config = EigenTrustConfig {
-            pretrusted: vec![NodeId(0)],
-            ..Default::default()
-        };
-        let mut m = EigenTrust::new(4, config);
+        let mut m = EigenTrust::new(4, vec![NodeId(0)]);
         let full = DisclosurePolicy::full();
         for _ in 0..3 {
             feed(&mut m, 0, 1, true, &full);
@@ -509,7 +450,7 @@ mod tests {
 
     #[test]
     fn self_ratings_are_ignored() {
-        let mut m = EigenTrust::new(3, EigenTrustConfig::default());
+        let mut m = EigenTrust::new(3, Vec::new());
         let full = DisclosurePolicy::full();
         for _ in 0..10 {
             feed(&mut m, 2, 2, true, &full);
@@ -525,7 +466,7 @@ mod tests {
 
     #[test]
     fn anonymous_reports_still_inform_scores() {
-        let mut m = EigenTrust::new(3, EigenTrustConfig::default());
+        let mut m = EigenTrust::new(3, Vec::new());
         let anon = DisclosurePolicy::minimal();
         for _ in 0..10 {
             feed(&mut m, 0, 1, true, &anon);
@@ -543,7 +484,7 @@ mod tests {
         // With identities, collusion-resistant eigenvector scoring gives a
         // crisper separation than the anonymous mean under mixed feedback.
         let run = |policy: DisclosurePolicy| {
-            let mut m = EigenTrust::new(4, EigenTrustConfig::default());
+            let mut m = EigenTrust::new(4, Vec::new());
             for _ in 0..10 {
                 feed(&mut m, 0, 1, true, &policy);
                 feed(&mut m, 1, 0, true, &policy);
@@ -564,7 +505,7 @@ mod tests {
 
     #[test]
     fn refresh_reports_iterations_and_converges() {
-        let mut m = EigenTrust::new(10, EigenTrustConfig::default());
+        let mut m = EigenTrust::new(10, Vec::new());
         let full = DisclosurePolicy::full();
         for r in 0..10u32 {
             feed(&mut m, r, (r + 1) % 10, true, &full);
@@ -576,7 +517,7 @@ mod tests {
 
     #[test]
     fn empty_mechanism_scores_prior() {
-        let mut m = EigenTrust::new(3, EigenTrustConfig::default());
+        let mut m = EigenTrust::new(3, Vec::new());
         m.refresh();
         // Uniform eigenvector: max-normalized score = 1 for everyone.
         let s = m.score(NodeId(0));
@@ -586,36 +527,13 @@ mod tests {
 
     #[test]
     fn resize_grows_tracking() {
-        let mut m = EigenTrust::new(2, EigenTrustConfig::default());
+        let mut m = EigenTrust::new(2, Vec::new());
         m.resize(5);
         assert_eq!(m.len(), 5);
         let full = DisclosurePolicy::full();
         feed(&mut m, 4, 3, true, &full);
         m.refresh();
         assert!(m.score(NodeId(3)) > 0.0);
-    }
-
-    #[test]
-    fn config_validation() {
-        assert!(EigenTrustConfig {
-            alpha: 1.5,
-            ..Default::default()
-        }
-        .validate()
-        .is_err());
-        assert!(EigenTrustConfig {
-            epsilon: 0.0,
-            ..Default::default()
-        }
-        .validate()
-        .is_err());
-        assert!(EigenTrustConfig {
-            max_iterations: 0,
-            ..Default::default()
-        }
-        .validate()
-        .is_err());
-        assert!(EigenTrustConfig::default().validate().is_ok());
     }
 
     /// Random but seed-reproducible report stream over `n` nodes.
@@ -637,8 +555,8 @@ mod tests {
         // The HashMap-backed implementation could differ in low-order
         // float bits between instances (random iteration order); the CSR
         // storage accumulates in a fixed order, so equality is exact.
-        let mut a = EigenTrust::new(30, EigenTrustConfig::default());
-        let mut b = EigenTrust::new(30, EigenTrustConfig::default());
+        let mut a = EigenTrust::new(30, Vec::new());
+        let mut b = EigenTrust::new(30, Vec::new());
         random_feed(&mut a, 30, 600, 9);
         random_feed(&mut b, 30, 600, 9);
         a.refresh();
@@ -655,7 +573,7 @@ mod tests {
 
     #[test]
     fn snapshot_restore_round_trip_is_bit_identical() {
-        let mut a = EigenTrust::new(25, EigenTrustConfig::default());
+        let mut a = EigenTrust::new(25, Vec::new());
         random_feed(&mut a, 25, 500, 3);
         a.refresh();
         // Leave the instance mid-stream (dirty, unrefreshed tail) so the
@@ -663,7 +581,7 @@ mod tests {
         random_feed(&mut a, 25, 100, 4);
         let snap = a.snapshot_state().expect("eigentrust supports snapshots");
 
-        let mut b = EigenTrust::new(25, EigenTrustConfig::default());
+        let mut b = EigenTrust::new(25, Vec::new());
         b.restore_state(&snap).expect("round trip");
         for i in 0..25 {
             assert_eq!(
@@ -686,15 +604,15 @@ mod tests {
 
     #[test]
     fn snapshot_restore_rejects_bad_input() {
-        let mut a = EigenTrust::new(8, EigenTrustConfig::default());
+        let mut a = EigenTrust::new(8, Vec::new());
         random_feed(&mut a, 8, 50, 6);
         let snap = a.snapshot_state().unwrap();
-        let mut wrong_size = EigenTrust::new(4, EigenTrustConfig::default());
+        let mut wrong_size = EigenTrust::new(4, Vec::new());
         assert!(
             wrong_size.restore_state(&snap).is_err(),
             "population mismatch"
         );
-        let mut same = EigenTrust::new(8, EigenTrustConfig::default());
+        let mut same = EigenTrust::new(8, Vec::new());
         assert!(
             same.restore_state(&snap[..snap.len() / 2]).is_err(),
             "truncated"
@@ -707,7 +625,7 @@ mod tests {
         // the state a single batch ingest would produce: the in-place row
         // updates and resident scratch buffers carry no state between
         // refreshes.
-        let mut incremental = EigenTrust::new(20, EigenTrustConfig::default());
+        let mut incremental = EigenTrust::new(20, Vec::new());
         let mut rng = SimRng::seed_from_u64(17);
         let full = DisclosurePolicy::full();
         let mut log: Vec<(u32, u32, bool)> = Vec::new();
@@ -726,7 +644,7 @@ mod tests {
         }
         incremental.refresh();
 
-        let mut scratch = EigenTrust::new(20, EigenTrustConfig::default());
+        let mut scratch = EigenTrust::new(20, Vec::new());
         for &(rater, ratee, good) in &log {
             feed(&mut scratch, rater, ratee, good, &full);
         }

@@ -19,7 +19,7 @@
 //!    scores.
 //!
 //! [`attack`] provides the adversary vocabulary (malicious, selfish,
-//! traitor, whitewasher, colluder) and [`accuracy`] measures mechanism
+//! traitor, colluder) and [`accuracy`] measures mechanism
 //! *power* — reliability, efficiency, consistency with reality — which is
 //! the paper's "Reputation" axis.
 
@@ -41,12 +41,12 @@ mod walk;
 
 pub use accuracy::{MechanismPower, PowerReport};
 pub use anonymous::{AnonymizationConfig, Anonymized};
-pub use attack::{BehaviorClass, Population, PopulationConfig};
+pub use attack::{Population, PopulationConfig};
 pub use beta::BetaReputation;
-pub use eigentrust::{EigenTrust, EigenTrustConfig};
+pub use eigentrust::EigenTrust;
 pub use gathering::{DisclosureField, DisclosurePolicy, FeedbackReport, ReportView};
 pub use mechanism::{build_mechanism, InteractionOutcome, MechanismKind, ReputationMechanism};
-pub use powertrust::{PowerTrust, PowerTrustConfig};
+pub use powertrust::PowerTrust;
 pub use response::{SelectionPolicy, SelectionScratch};
-pub use trustme::{TrustMe, TrustMeConfig};
+pub use trustme::TrustMe;
 pub use tsn_simnet::NodeId;

@@ -305,18 +305,9 @@ pub fn build_mechanism(kind: MechanismKind, n: usize) -> Box<dyn ReputationMecha
     match kind {
         MechanismKind::None => Box::new(NoReputation::new(n)),
         MechanismKind::Beta => Box::new(crate::beta::BetaReputation::new(n)),
-        MechanismKind::EigenTrust => Box::new(crate::eigentrust::EigenTrust::new(
-            n,
-            crate::eigentrust::EigenTrustConfig::default(),
-        )),
-        MechanismKind::PowerTrust => Box::new(crate::powertrust::PowerTrust::new(
-            n,
-            crate::powertrust::PowerTrustConfig::default(),
-        )),
-        MechanismKind::TrustMe => Box::new(crate::trustme::TrustMe::new(
-            n,
-            crate::trustme::TrustMeConfig::default(),
-        )),
+        MechanismKind::EigenTrust => Box::new(crate::eigentrust::EigenTrust::new(n, Vec::new())),
+        MechanismKind::PowerTrust => Box::new(crate::powertrust::PowerTrust::new(n)),
+        MechanismKind::TrustMe => Box::new(crate::trustme::TrustMe::new(n)),
     }
 }
 

@@ -29,52 +29,14 @@ use crate::mechanism::{MechanismKind, ReputationMechanism};
 use crate::walk::WalkMatrix;
 use tsn_simnet::NodeId;
 
-/// PowerTrust parameters.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PowerTrustConfig {
-    /// Number of power nodes (the paper's `m`); clamped to the population.
-    pub power_nodes: usize,
-    /// Teleport probability toward power nodes in the second pass.
-    pub theta: f64,
-    /// Convergence threshold (L1).
-    pub epsilon: f64,
-    /// Iteration cap per pass.
-    pub max_iterations: usize,
-}
-
-impl Default for PowerTrustConfig {
-    fn default() -> Self {
-        PowerTrustConfig {
-            power_nodes: 5,
-            theta: 0.15,
-            epsilon: 1e-9,
-            max_iterations: 200,
-        }
-    }
-}
-
-impl PowerTrustConfig {
-    /// Validates parameter ranges.
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the first invalid field.
-    pub fn validate(&self) -> Result<(), String> {
-        if self.power_nodes == 0 {
-            return Err("power_nodes must be positive".into());
-        }
-        if !(0.0..=1.0).contains(&self.theta) {
-            return Err("theta must be in [0,1]".into());
-        }
-        if self.epsilon <= 0.0 {
-            return Err("epsilon must be positive".into());
-        }
-        if self.max_iterations == 0 {
-            return Err("max_iterations must be positive".into());
-        }
-        Ok(())
-    }
-}
+/// Number of power nodes (the paper's `m`); clamped to the population.
+const POWER_NODES: usize = 5;
+/// Teleport probability toward power nodes in the second pass.
+const THETA: f64 = 0.15;
+/// Convergence threshold (L1).
+const EPSILON: f64 = 1e-9;
+/// Iteration cap per pass.
+const MAX_ITERATIONS: usize = 200;
 
 /// One (rater, ratee) cell: sum of report values and their count; the
 /// mean is the paper's local trust `r_ij`.
@@ -98,7 +60,6 @@ impl PtCell {
 /// The PowerTrust mechanism.
 #[derive(Debug, Clone)]
 pub struct PowerTrust {
-    config: PowerTrustConfig,
     n: usize,
     /// Sparse local trust, updated in place by `record`.
     local: LocalMatrix<PtCell>,
@@ -124,17 +85,8 @@ pub struct PowerTrust {
 
 impl PowerTrust {
     /// Creates an instance for `n` nodes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the configuration is invalid.
-    pub fn new(n: usize, config: PowerTrustConfig) -> Self {
-        if let Err(e) = config.validate() {
-            // tsn-lint: allow(no-unwrap, "documented contract: new() panics on a config that validate() rejects; fallible callers validate first")
-            panic!("invalid PowerTrust config: {e}");
-        }
+    pub fn new(n: usize) -> Self {
         PowerTrust {
-            config,
             n,
             local: LocalMatrix::new(n),
             anon: vec![(0.0, 0); n],
@@ -150,14 +102,6 @@ impl PowerTrust {
             order: Vec::new(),
             opinion_src: Vec::new(),
         }
-    }
-
-    /// The power nodes elected by the latest refresh.
-    pub fn power_nodes(&mut self) -> &[NodeId] {
-        if self.dirty {
-            self.recompute();
-        }
-        &self.power_set
     }
 
     /// Iterations used by the most recent refresh (both passes).
@@ -186,12 +130,9 @@ impl PowerTrust {
         // Pass 1: plain random walk elects power nodes.
         self.teleport.clear();
         self.teleport.resize(n, 1.0 / n as f64);
-        let it1 = self.walk.stationary(
-            &self.teleport,
-            self.config.theta,
-            self.config.epsilon,
-            self.config.max_iterations,
-        );
+        let it1 = self
+            .walk
+            .stationary(&self.teleport, THETA, EPSILON, MAX_ITERATIONS);
         let v1 = self.walk.solution();
         self.order.clear();
         self.order.extend(0..n);
@@ -201,7 +142,7 @@ impl PowerTrust {
                 .unwrap_or(std::cmp::Ordering::Equal)
                 .then(a.cmp(&b))
         });
-        let m = self.config.power_nodes.min(n);
+        let m = POWER_NODES.min(n);
         self.power_set.clear();
         self.power_set
             .extend(self.order[..m].iter().map(|&i| NodeId::from_index(i)));
@@ -211,12 +152,9 @@ impl PowerTrust {
         for p in &self.power_set {
             self.teleport[p.index()] = 1.0 / m as f64;
         }
-        let it2 = self.walk.stationary(
-            &self.teleport,
-            self.config.theta,
-            self.config.epsilon,
-            self.config.max_iterations,
-        );
+        let it2 = self
+            .walk
+            .stationary(&self.teleport, THETA, EPSILON, MAX_ITERATIONS);
         self.global.clear();
         self.global.extend_from_slice(self.walk.solution());
         // Cache the walk-weighted opinion aggregation: power nodes carry
@@ -354,13 +292,7 @@ mod tests {
 
     #[test]
     fn good_nodes_score_higher() {
-        let mut m = PowerTrust::new(
-            6,
-            PowerTrustConfig {
-                power_nodes: 2,
-                ..Default::default()
-            },
-        );
+        let mut m = PowerTrust::new(6);
         star_population(&mut m, 6, &[0, 1]);
         m.refresh();
         for good in [0u32, 1] {
@@ -375,40 +307,29 @@ mod tests {
 
     #[test]
     fn power_nodes_are_the_top_scorers() {
-        let mut m = PowerTrust::new(
-            6,
-            PowerTrustConfig {
-                power_nodes: 2,
-                ..Default::default()
-            },
-        );
-        star_population(&mut m, 6, &[0, 1]);
+        let mut m = PowerTrust::new(12);
+        let good = [0, 1, 2, 3, 4];
+        star_population(&mut m, 12, &good);
         m.refresh();
-        let powers: Vec<u32> = m.power_nodes().iter().map(|p| p.0).collect();
-        assert_eq!(powers.len(), 2);
+        let powers: Vec<u32> = m.power_set.iter().map(|p| p.0).collect();
+        assert_eq!(powers.len(), POWER_NODES);
         assert!(
-            powers.contains(&0) && powers.contains(&1),
+            powers.iter().all(|p| good.contains(p)),
             "power nodes {powers:?}"
         );
     }
 
     #[test]
     fn power_node_count_clamps_to_population() {
-        let mut m = PowerTrust::new(
-            3,
-            PowerTrustConfig {
-                power_nodes: 10,
-                ..Default::default()
-            },
-        );
+        let mut m = PowerTrust::new(3);
         feed(&mut m, 0, 1, true);
         m.refresh();
-        assert_eq!(m.power_nodes().len(), 3);
+        assert_eq!(m.power_set.len(), 3);
     }
 
     #[test]
     fn anonymous_pool_still_separates() {
-        let mut m = PowerTrust::new(3, PowerTrustConfig::default());
+        let mut m = PowerTrust::new(3);
         let anon = DisclosurePolicy::minimal();
         for _ in 0..10 {
             let good = FeedbackReport {
@@ -432,7 +353,7 @@ mod tests {
 
     #[test]
     fn refresh_counts_both_passes() {
-        let mut m = PowerTrust::new(4, PowerTrustConfig::default());
+        let mut m = PowerTrust::new(4);
         feed(&mut m, 0, 1, true);
         let iters = m.refresh();
         assert!(iters >= 2, "two walk passes, got {iters}");
@@ -440,7 +361,7 @@ mod tests {
 
     #[test]
     fn self_reports_ignored() {
-        let mut m = PowerTrust::new(3, PowerTrustConfig::default());
+        let mut m = PowerTrust::new(3);
         for _ in 0..5 {
             feed(&mut m, 1, 1, true);
         }
@@ -450,26 +371,9 @@ mod tests {
     }
 
     #[test]
-    fn config_validation() {
-        assert!(PowerTrustConfig {
-            power_nodes: 0,
-            ..Default::default()
-        }
-        .validate()
-        .is_err());
-        assert!(PowerTrustConfig {
-            theta: -0.1,
-            ..Default::default()
-        }
-        .validate()
-        .is_err());
-        assert!(PowerTrustConfig::default().validate().is_ok());
-    }
-
-    #[test]
     fn deterministic_given_same_reports() {
-        let mut a = PowerTrust::new(5, PowerTrustConfig::default());
-        let mut b = PowerTrust::new(5, PowerTrustConfig::default());
+        let mut a = PowerTrust::new(5);
+        let mut b = PowerTrust::new(5);
         for m in [&mut a, &mut b] {
             star_population(m, 5, &[0]);
             m.refresh();
@@ -484,7 +388,7 @@ mod tests {
         // In-place row maintenance and resident walk buffers must carry
         // no state between refreshes: an interleaved record/refresh
         // history ends bit-identical to one batch ingest + single refresh.
-        let mut incremental = PowerTrust::new(15, PowerTrustConfig::default());
+        let mut incremental = PowerTrust::new(15);
         let mut rng = SimRng::seed_from_u64(23);
         let mut log: Vec<(u32, u32, bool)> = Vec::new();
         for step in 0..300 {
@@ -502,13 +406,13 @@ mod tests {
         }
         incremental.refresh();
 
-        let mut scratch = PowerTrust::new(15, PowerTrustConfig::default());
+        let mut scratch = PowerTrust::new(15);
         for &(rater, ratee, good) in &log {
             feed(&mut scratch, rater, ratee, good);
         }
         scratch.refresh();
 
-        assert_eq!(incremental.power_nodes(), scratch.power_nodes());
+        assert_eq!(incremental.power_set, scratch.power_set);
         for i in 0..15 {
             assert_eq!(
                 incremental.score(NodeId(i)).to_bits(),

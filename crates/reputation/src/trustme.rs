@@ -20,40 +20,10 @@ use crate::gathering::ReportView;
 use crate::mechanism::{MechanismKind, ReputationMechanism};
 use tsn_simnet::NodeId;
 
-/// TrustMe parameters.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TrustMeConfig {
-    /// Number of trust-holder peers per subject (replication factor).
-    pub holders: usize,
-    /// Smoothing pseudo-count toward the 0.5 prior.
-    pub smoothing: f64,
-}
-
-impl Default for TrustMeConfig {
-    fn default() -> Self {
-        TrustMeConfig {
-            holders: 3,
-            smoothing: 2.0,
-        }
-    }
-}
-
-impl TrustMeConfig {
-    /// Validates parameter ranges.
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the first invalid field.
-    pub fn validate(&self) -> Result<(), String> {
-        if self.holders == 0 {
-            return Err("holders must be positive".into());
-        }
-        if self.smoothing < 0.0 {
-            return Err("smoothing must be non-negative".into());
-        }
-        Ok(())
-    }
-}
+/// Number of trust-holder peers per subject (replication factor).
+const HOLDERS: usize = 3;
+/// Smoothing pseudo-count toward the 0.5 prior.
+const SMOOTHING: f64 = 2.0;
 
 /// Per-subject state sharded across simulated trust-holders.
 #[derive(Debug, Clone, Default)]
@@ -65,7 +35,6 @@ struct HolderShard {
 /// The TrustMe mechanism.
 #[derive(Debug, Clone)]
 pub struct TrustMe {
-    config: TrustMeConfig,
     /// `shards[subject][holder]`.
     shards: Vec<Vec<HolderShard>>,
     /// Round-robin cursor so reports spread deterministically over holders.
@@ -74,20 +43,10 @@ pub struct TrustMe {
 
 impl TrustMe {
     /// Creates an instance for `n` nodes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the configuration is invalid.
-    pub fn new(n: usize, config: TrustMeConfig) -> Self {
-        if let Err(e) = config.validate() {
-            // tsn-lint: allow(no-unwrap, "documented contract: new() panics on a config that validate() rejects; fallible callers validate first")
-            panic!("invalid TrustMe config: {e}");
-        }
-        let holders = config.holders;
+    pub fn new(n: usize) -> Self {
         TrustMe {
-            config,
             shards: (0..n)
-                .map(|_| vec![HolderShard::default(); holders])
+                .map(|_| vec![HolderShard::default(); HOLDERS])
                 .collect(),
             cursor: vec![0; n],
         }
@@ -101,8 +60,7 @@ impl ReputationMechanism for TrustMe {
 
     fn resize(&mut self, n: usize) {
         while self.shards.len() < n {
-            self.shards
-                .push(vec![HolderShard::default(); self.config.holders]);
+            self.shards.push(vec![HolderShard::default(); HOLDERS]);
             self.cursor.push(0);
         }
     }
@@ -114,7 +72,7 @@ impl ReputationMechanism for TrustMe {
         // never reaches a trust-holder — so no self-report filtering is
         // possible either (a known TrustMe weakness we model faithfully).
         let holder = self.cursor[subject];
-        self.cursor[subject] = (holder + 1) % self.config.holders;
+        self.cursor[subject] = (holder + 1) % HOLDERS;
         let shard = &mut self.shards[subject][holder];
         shard.sum += report.value();
         shard.count += 1;
@@ -134,7 +92,7 @@ impl ReputationMechanism for TrustMe {
             .fold((0.0, 0u64), |(s, c), shard| {
                 (s + shard.sum, c + shard.count)
             });
-        let k = self.config.smoothing;
+        let k = SMOOTHING;
         (sum + 0.5 * k) / (count as f64 + k)
     }
 
@@ -145,7 +103,7 @@ impl ReputationMechanism for TrustMe {
     fn overhead_per_report(&self) -> usize {
         // One anonymized submission per holder plus the certificate
         // exchange before the transaction (modelled as one message).
-        self.config.holders + 1
+        HOLDERS + 1
     }
 }
 
@@ -172,19 +130,13 @@ mod tests {
 
     #[test]
     fn prior_is_half() {
-        let m = TrustMe::new(2, TrustMeConfig::default());
+        let m = TrustMe::new(2);
         assert_eq!(m.score(NodeId(0)), 0.5);
     }
 
     #[test]
     fn averaging_with_smoothing() {
-        let mut m = TrustMe::new(
-            2,
-            TrustMeConfig {
-                holders: 3,
-                smoothing: 2.0,
-            },
-        );
+        let mut m = TrustMe::new(2);
         for _ in 0..4 {
             m.record(&view(1, true));
         }
@@ -196,13 +148,7 @@ mod tests {
 
     #[test]
     fn reports_shard_round_robin() {
-        let mut m = TrustMe::new(
-            1,
-            TrustMeConfig {
-                holders: 3,
-                smoothing: 0.0,
-            },
-        );
+        let mut m = TrustMe::new(1);
         for _ in 0..7 {
             m.record(&view(0, true));
         }
@@ -212,7 +158,7 @@ mod tests {
 
     #[test]
     fn bad_reports_lower_score() {
-        let mut m = TrustMe::new(2, TrustMeConfig::default());
+        let mut m = TrustMe::new(2);
         for _ in 0..10 {
             m.record(&view(1, false));
         }
@@ -223,7 +169,7 @@ mod tests {
     fn rater_identity_is_discarded_by_construction() {
         // Self-promotion works against TrustMe (anonymity prevents
         // filtering) — we assert the modelled weakness explicitly.
-        let mut m = TrustMe::new(2, TrustMeConfig::default());
+        let mut m = TrustMe::new(2);
         let self_report = DisclosurePolicy::full().view(&FeedbackReport {
             rater: NodeId(1),
             ratee: NodeId(1),
@@ -240,39 +186,16 @@ mod tests {
 
     #[test]
     fn overhead_scales_with_holders() {
-        let m = TrustMe::new(
-            1,
-            TrustMeConfig {
-                holders: 5,
-                smoothing: 1.0,
-            },
-        );
-        assert_eq!(m.overhead_per_report(), 6);
+        let m = TrustMe::new(1);
+        assert_eq!(m.overhead_per_report(), HOLDERS + 1);
     }
 
     #[test]
     fn resize_grows() {
-        let mut m = TrustMe::new(1, TrustMeConfig::default());
+        let mut m = TrustMe::new(1);
         m.resize(3);
         assert_eq!(m.len(), 3);
         m.record(&view(2, true));
         assert!(m.score(NodeId(2)) > 0.5);
-    }
-
-    #[test]
-    fn config_validation() {
-        assert!(TrustMeConfig {
-            holders: 0,
-            smoothing: 1.0
-        }
-        .validate()
-        .is_err());
-        assert!(TrustMeConfig {
-            holders: 1,
-            smoothing: -1.0
-        }
-        .validate()
-        .is_err());
-        assert!(TrustMeConfig::default().validate().is_ok());
     }
 }

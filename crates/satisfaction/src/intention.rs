@@ -79,8 +79,6 @@ impl Default for ConsumerIntentions {
 /// A provider's intentions.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ProviderIntentions {
-    /// Topics the provider wants to serve (empty = everything).
-    pub preferred_topics: BTreeSet<usize>,
     /// Maximum load (requests per round) the provider intends to handle.
     pub capacity: u32,
 }
@@ -91,17 +89,11 @@ impl ProviderIntentions {
     /// # Errors
     ///
     /// Returns a message if `capacity` is zero.
-    pub fn new(
-        preferred_topics: impl IntoIterator<Item = usize>,
-        capacity: u32,
-    ) -> Result<Self, String> {
+    pub fn new(capacity: u32) -> Result<Self, String> {
         if capacity == 0 {
             return Err("capacity must be positive".into());
         }
-        Ok(ProviderIntentions {
-            preferred_topics: preferred_topics.into_iter().collect(),
-            capacity,
-        })
+        Ok(ProviderIntentions { capacity })
     }
 
     /// Adequacy of the current `load` against intended capacity: 1 while
@@ -117,10 +109,7 @@ impl ProviderIntentions {
 
 impl Default for ProviderIntentions {
     fn default() -> Self {
-        ProviderIntentions {
-            preferred_topics: BTreeSet::new(),
-            capacity: 10,
-        }
+        ProviderIntentions { capacity: 10 }
     }
 }
 
@@ -153,7 +142,7 @@ mod tests {
 
     #[test]
     fn provider_load_adequacy_decays_when_overloaded() {
-        let p = ProviderIntentions::new([], 4).unwrap();
+        let p = ProviderIntentions::new(4).unwrap();
         assert_eq!(p.load_adequacy(0), 1.0);
         assert_eq!(p.load_adequacy(4), 1.0);
         assert_eq!(p.load_adequacy(8), 0.5);
@@ -162,6 +151,6 @@ mod tests {
 
     #[test]
     fn provider_validation() {
-        assert!(ProviderIntentions::new([], 0).is_err());
+        assert!(ProviderIntentions::new(0).is_err());
     }
 }

@@ -30,8 +30,8 @@
 //! index — a deterministic rule, so a re-run fails over identically.
 //! The promoted member is caught up from the log before it serves. With
 //! no member up, the set answers [`HostError::Unavailable`] with the
-//! earliest scheduled restart, and the driver's [`RetryPolicy`] does
-//! what it does for a single host: re-route and re-send.
+//! earliest scheduled restart, and the driver's retry loop does what it
+//! does for a single host: re-route and re-send.
 //!
 //! # Divergence diagnostics
 //!
@@ -42,8 +42,6 @@
 //! it identifies the replica, the epoch, and the first divergent
 //! checkpoint section, and it surfaces as a hard
 //! [`HostError::Rejected`] because retrying cannot help a state split.
-//!
-//! [`RetryPolicy`]: crate::RetryPolicy
 
 use crate::event::ServiceOp;
 use crate::host::{ApplyOutcome, HostConfig, HostError, HostState, ServiceHost};

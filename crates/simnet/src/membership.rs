@@ -170,6 +170,12 @@ impl PartialView {
     }
 }
 
+/// Upper bound on [`MembershipConfig::view_size`]. Every node's view is
+/// allocated at full capacity up front, so an unbounded size would fail
+/// the allocation instead of validation; peer-sampling views stay in the
+/// tens (the default is 16).
+const MAX_VIEW_SIZE: usize = 1024;
+
 /// Configuration of the membership overlay.
 ///
 /// Defaults follow the peer-sampling literature's healthy mid-range:
@@ -218,8 +224,11 @@ impl MembershipConfig {
     ///
     /// Returns a description of the first invalid field.
     pub fn validate(&self) -> Result<(), String> {
-        if self.view_size == 0 {
-            return Err("membership view_size must be at least 1".into());
+        if self.view_size == 0 || self.view_size > MAX_VIEW_SIZE {
+            return Err(format!(
+                "membership view_size must be in [1, {MAX_VIEW_SIZE}], got {}",
+                self.view_size
+            ));
         }
         if self.shuffle_len == 0 || self.shuffle_len > self.view_size {
             return Err("membership shuffle_len must be in [1, view_size]".into());
@@ -593,6 +602,11 @@ mod tests {
         let defaults = MembershipConfig::default();
         let config = MembershipConfig {
             view_size: 0,
+            ..defaults
+        };
+        assert!(config.validate().unwrap_err().contains("view_size"));
+        let config = MembershipConfig {
+            view_size: MAX_VIEW_SIZE + 1,
             ..defaults
         };
         assert!(config.validate().unwrap_err().contains("view_size"));

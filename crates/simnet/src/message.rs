@@ -1,6 +1,5 @@
 //! Messages exchanged between simulated nodes.
 
-use crate::time::SimTime;
 use crate::NodeId;
 
 /// Identifier of a message, unique within one simulation run.
@@ -123,8 +122,6 @@ pub struct Envelope {
     pub from: NodeId,
     /// Destination node.
     pub to: NodeId,
-    /// Time the message was handed to the network.
-    pub sent_at: SimTime,
     /// The payload.
     pub payload: Payload,
 }
@@ -154,7 +151,6 @@ mod tests {
             id: MessageId(1),
             from: NodeId(0),
             to: NodeId(1),
-            sent_at: SimTime::ZERO,
             payload: Payload::from("xy"),
         };
         assert_eq!(env.wire_size(), 50);

@@ -217,7 +217,6 @@ impl Network {
             id,
             from,
             to,
-            sent_at: self.now,
             payload,
         };
         self.stats.sent.incr();

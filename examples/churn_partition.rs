@@ -34,15 +34,7 @@ fn fresh_gossip(seed: u64) -> GossipNetwork {
     for _ in 0..N {
         network.add_node();
     }
-    let mut gossip = GossipNetwork::new(
-        graph,
-        network,
-        GossipConfig {
-            subjects: N,
-            ..Default::default()
-        },
-        rng.fork(2),
-    );
+    let mut gossip = GossipNetwork::new(graph, network, GossipConfig::default(), rng.fork(2));
     // Everyone has local experiences; providers below 12 are bad.
     let mut obs = SimRng::seed_from_u64(seed ^ 0xBEEF);
     for _ in 0..N * 8 {

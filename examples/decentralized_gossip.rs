@@ -38,7 +38,6 @@ fn main() {
         graph,
         network,
         GossipConfig {
-            subjects: n,
             round_length: SimDuration::from_millis(150),
         },
         rng.fork(2),

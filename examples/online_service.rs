@@ -3,8 +3,6 @@
 //!
 //! ```text
 //! cargo run --release --example online_service
-//! SERVICE_NODES=10000 SERVICE_ARRIVALS=4 \
-//!     cargo run --release --example online_service
 //! ```
 //!
 //! The batch layers answer "what happens over N rounds"; this example
@@ -15,12 +13,9 @@
 use tsn::prelude::*;
 
 fn main() {
-    // Workload knobs come from SERVICE_* env vars (invalid values fail
-    // naming the variable); the service itself mirrors the population.
-    let workload = DriverConfig::from_env().unwrap_or_else(|e| {
-        eprintln!("error: {e}");
-        std::process::exit(2);
-    });
+    // The default workload; the service itself mirrors the population.
+    // (`tsn-cli serve` exposes each workload knob as a flag.)
+    let workload = DriverConfig::default();
     let config = ServiceConfig {
         nodes: workload.nodes,
         epoch: SimDuration::from_secs(60),

@@ -78,6 +78,22 @@ fn size_inputs_past_their_bounds_are_errors() {
 }
 
 #[test]
+fn rate_and_view_inputs_past_their_bounds_are_errors() {
+    rejects(
+        "serve --nodes 10 --epochs 1 --arrivals 1e300",
+        "arrival_rate",
+    );
+    rejects(
+        "scenario --nodes 10 --rounds 2 --view-size 18446744073709551615",
+        "view_size",
+    );
+    rejects(
+        "serve --nodes 10 --epochs 1 --view-size 18446744073709551615",
+        "view_size",
+    );
+}
+
+#[test]
 fn kill_primary_alone_runs_two_replicas() {
     let (_, err) = accepts("serve --nodes 20 --epochs 2 --seed 3 --kill-primary-at 30");
     assert!(err.contains("replica set: 2 members"), "{err}");

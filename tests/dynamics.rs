@@ -34,15 +34,7 @@ fn gossip_with_lower_half_evidence(n: usize, seed: u64) -> GossipNetwork {
     for _ in 0..n {
         network.add_node();
     }
-    let mut gossip = GossipNetwork::new(
-        graph,
-        network,
-        GossipConfig {
-            subjects: n,
-            ..Default::default()
-        },
-        rng.fork(2),
-    );
+    let mut gossip = GossipNetwork::new(graph, network, GossipConfig::default(), rng.fork(2));
     for observer in 0..n as u32 / 2 {
         gossip.observe(NodeId(observer), 0, 0.95);
     }
@@ -286,7 +278,11 @@ fn scenario_with_noop_plan_is_bit_identical_to_no_plan() {
     };
     let baseline = fingerprint(ScenarioBuilder::small());
     let static_plan = fingerprint(ScenarioBuilder::small().dynamics(DynamicsPlan::default()));
-    let regions_only = fingerprint(ScenarioBuilder::small().wan_regions(2));
+    let regions_only = fingerprint(ScenarioBuilder::small().dynamics(DynamicsPlan::wan_regions(
+        2,
+        SimDuration::from_millis(10),
+        SimDuration::from_millis(150),
+    )));
     assert_eq!(baseline, static_plan, "static plan must be a no-op");
     assert_eq!(baseline, regions_only, "regions-only plan must be a no-op");
 }

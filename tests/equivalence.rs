@@ -166,15 +166,7 @@ fn gossip_instance(n: usize, loss: f64, seed: u64) -> GossipNetwork {
     for _ in 0..n {
         network.add_node();
     }
-    let mut gossip = GossipNetwork::new(
-        graph,
-        network,
-        GossipConfig {
-            subjects: n,
-            ..Default::default()
-        },
-        rng.fork(2),
-    );
+    let mut gossip = GossipNetwork::new(graph, network, GossipConfig::default(), rng.fork(2));
     let mut obs_rng = SimRng::seed_from_u64(seed ^ 0xA5A5);
     for _ in 0..n * 10 {
         let observer = NodeId(obs_rng.gen_range(0..n as u32));

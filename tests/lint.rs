@@ -5,7 +5,7 @@
 //! 1. **The workspace is clean.** `lint_workspace` over this repository
 //!    must report zero findings and zero unjustified pragmas — the same
 //!    gate CI runs via `cargo run -p tsn-lint`.
-//! 2. **Every rule actually fires.** For each of the seven shipped
+//! 2. **Every rule actually fires.** For each of the eight shipped
 //!    rules, a planted violation must produce exactly the expected
 //!    finding; a rule that silently stops matching would otherwise rot
 //!    unnoticed behind obligation 1.
@@ -127,6 +127,32 @@ fn rule_foreign_rng_fires() {
         rules_fired(&findings).contains(&RuleId::ForeignRng),
         "planted thread_rng not caught: {findings:?}"
     );
+}
+
+#[test]
+fn rule_env_read_fires_in_library_code() {
+    let src = "pub fn nodes() -> Option<String> {\n    std::env::var(\"NODES\").ok()\n}\n";
+    let findings = lint_source(FileScope::Library, "fixture.rs", src);
+    assert_eq!(rules_fired(&findings), vec![RuleId::EnvRead]);
+    assert_eq!(findings[0].line, 2);
+    let src = "pub fn argc() -> usize {\n    std::env::args_os().count()\n}\n";
+    let findings = lint_source(FileScope::Library, "fixture.rs", src);
+    assert_eq!(rules_fired(&findings), vec![RuleId::EnvRead]);
+}
+
+#[test]
+fn rule_env_read_spares_bins() {
+    let src = "fn main() {\n    let _args: Vec<String> = std::env::args().collect();\n    let _home = std::env::var_os(\"HOME\");\n}\n";
+    assert!(
+        lint_source(FileScope::Bin, "fixture.rs", src).is_empty(),
+        "binaries may read the environment"
+    );
+}
+
+#[test]
+fn rule_env_read_honours_a_justified_pragma() {
+    let src = "pub fn verbose() -> bool {\n    // tsn-lint: allow(env-read, \"fixture: logging toggle only\")\n    std::env::var_os(\"VERBOSE\").is_some()\n}\n";
+    assert!(lint_source(FileScope::Library, "fixture.rs", src).is_empty());
 }
 
 #[test]

@@ -35,10 +35,7 @@ fn gossip_islands_diverge_under_full_partition() {
     let mut gossip = GossipNetwork::new(
         graph,
         partitioned_network(n, 2, 2),
-        GossipConfig {
-            subjects: n,
-            ..Default::default()
-        },
+        GossipConfig::default(),
         rng.fork(1),
     );
     for observer in 0..15u32 {
@@ -73,15 +70,7 @@ fn gossip_heals_after_partition_lifts() {
     for _ in 0..n {
         network.add_node();
     }
-    let mut gossip = GossipNetwork::new(
-        graph,
-        network,
-        GossipConfig {
-            subjects: n,
-            ..Default::default()
-        },
-        rng.fork(2),
-    );
+    let mut gossip = GossipNetwork::new(graph, network, GossipConfig::default(), rng.fork(2));
     for observer in 0..n as u32 / 2 {
         gossip.observe(NodeId(observer), 0, 0.9);
     }
@@ -185,7 +174,6 @@ fn regional_latency_slows_cross_region_gossip() {
         graph,
         network,
         GossipConfig {
-            subjects: n,
             round_length: SimDuration::from_millis(100),
         },
         rng.fork(1),

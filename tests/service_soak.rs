@@ -91,7 +91,6 @@ fn gossip_pool_high_water_plateaus_under_soak() {
         graph,
         network,
         GossipConfig {
-            subjects: n,
             ..GossipConfig::default()
         },
         rng.fork(2),
@@ -170,13 +169,10 @@ fn journaled_host_disk_high_water_plateaus_under_soak() {
 
     let epochs = 16u64;
     let warmup = 4u64;
-    let policy = RetryPolicy::default();
     let mut warm_high_water = 0usize;
     let mut high_water = 0usize;
     for epoch in 0..epochs {
-        driver
-            .drive_host(&mut host, 1, &policy)
-            .expect("clean epoch");
+        driver.drive_host(&mut host, 1).expect("clean epoch");
         high_water = high_water.max(host.journal().byte_len());
         if epoch < warmup {
             warm_high_water = high_water;
